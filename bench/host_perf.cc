@@ -255,15 +255,16 @@ runNativeMode(int argc, char **argv)
     std::cout << "\nPer-op host latency (single thread, hash table, "
               << "20% updates):\n";
     {
-        StmConfig stm;
-        NativeRequestExecutor exec{stm};
+        NativeBackend backend{NativeSessionConfig{}};
+        TmExec &t = backend.thread(0);
         ExecutorWorkload w;
         w.workload = WorkloadKind::HashTable;
         w.hashBuckets = 1024;
         w.initialSize = 4096;
         w.keyRange = 16384;
         w.seed = 1;
-        exec.populate(w);
+        DsInstance ds;
+        svcdetail::buildAndPopulate(t, w, &ds);
         LatencyHistogram hist;
         Rng rng(42);
         std::uint64_t op_count = ci ? 20000 : 100000;
@@ -276,7 +277,7 @@ runNativeMode(int argc, char **argv)
             req.key = rng.range(w.keyRange);
             req.value = rng.next() >> 16;
             auto t0 = std::chrono::steady_clock::now();
-            exec.execute(req, 0);
+            svcdetail::runOp(t, ds.ops, req);
             hist.record(wallNanos(t0));
         }
         std::cout << "  ops " << hist.count() << ", p50 "

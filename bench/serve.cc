@@ -13,18 +13,20 @@
  *   burst  0.25x / 3x on-off burst        (recovery evidence)
  *
  * Capacity is not guessed: each scheme/seed pair first runs a
- * zero-rival calibration batch of Contains requests through a
+ * contention-free calibration batch of Contains requests through a
  * 1-worker executor and derives the effective mean service time from
  * the measured barrier counts and the virtual service-time model, so
  * "2x overload" means the same thing on a barrier-heavy software STM
  * and on the hardware rung.
  *
- * Native cells run workers REALLY in parallel: with workers >= 2 the
- * pool executor (service/worker_pool.hh) executes admitted requests
+ * Native cells run their workers REALLY in parallel: the pool
+ * executor (service/executor.hh) executes admitted requests
  * concurrently on N host threads sharing one native STM — genuine
- * cross-worker conflicts — while workers = 1 keeps the inline
- * rival-injecting executor and its bit-identical fingerprint. A
- * worker-scaling sweep (native/snapshot x 1/2/4 workers x sat/over)
+ * cross-worker conflicts — and workers = 1 is one FIFO host thread
+ * with a bit-identical fingerprint. Sim cells run each request on one
+ * simulated core against rival commits from a second, scaled by how
+ * many busy workers collide with it. A worker-scaling sweep
+ * (native/snapshot x 1/2/4 workers x sat/over)
  * measures the throughput headline; the saturated 4-worker cell must
  * reach >= 1.8x the 1-worker goodput on a >= 4-core host (the check
  * skips with a warning below that).
@@ -42,10 +44,10 @@
  *    p99 returns to within 2x the pre-burst p99 (+ one mean service
  *    time of slack) and the queue drains;
  *  - determinism (two-mode): the whole matrix runs twice (through
- *    the same --jobs pool). Synchronous cells (sim, native w1) must
- *    fingerprint bit-identically across passes; pool cells (native
- *    w2+) are fingerprint-exempt and must instead pass the replay
- *    oracle over their recorded op logs, the sim-replay
+ *    the same --jobs pool). Deterministic cells (sim, native w1) must
+ *    fingerprint bit-identically across passes; native w2+ cells are
+ *    fingerprint-exempt. Every native cell must pass the replay
+ *    oracle over its recorded op log, the sim-replay
  *    cross-validation, and the native invariant sweep — on BOTH
  *    passes.
  *
@@ -81,7 +83,6 @@
 #include "harness/table.hh"
 #include "service/server.hh"
 #include "service/trace_source.hh"
-#include "service/worker_pool.hh"
 #include "sim/logging.hh"
 
 using namespace hastm;
@@ -106,25 +107,17 @@ const SchemeCell kSchemes[] = {
     {"sim/adaptive", false, false, TmScheme::Adaptive},
 };
 
-/**
- * Build the executor for one cell. Native cells with workers >= 2 get
- * the real pool (genuine cross-worker conflicts, fingerprint-exempt);
- * native workers = 1 keeps the PR 9 inline executor bit-identically;
- * sim cells model multi-worker occupancy virtually as before.
- */
+/** Build the executor for one cell (populate() sizes it from the
+ *  cell's worker count). */
 std::unique_ptr<RequestExecutor>
-makeExecutor(const SchemeCell &s, unsigned workers, bool sim_replay)
+makeExecutor(const SchemeCell &s, bool sim_replay)
 {
-    StmConfig stm;
     if (s.native) {
+        StmConfig stm;
         stm.nativeSnapshotClock = s.snapshotClock;
-        if (workers >= 2) {
-            return std::make_unique<NativePoolRequestExecutor>(
-                workers, stm, sim_replay);
-        }
-        return std::make_unique<NativeRequestExecutor>(stm);
+        return std::make_unique<NativeRequestExecutor>(stm, sim_replay);
     }
-    return std::make_unique<SimRequestExecutor>(s.scheme, stm);
+    return std::make_unique<SimRequestExecutor>(s.scheme, StmConfig{});
 }
 
 // ---- the load axis ----
@@ -154,30 +147,31 @@ serveWorkload(std::uint64_t seed)
     w.hashBuckets = 64;
     w.initialSize = 128;
     w.keyRange = 256;
-    w.conflictClasses = 4;
     w.seed = seed;
+    w.conflictClasses = 4;
     return w;
 }
 
 /**
  * Effective mean service time for one scheme: a zero-rival batch of
- * Contains requests through a fresh 1-worker executor, fed into the
- * virtual service-time model. Deterministic (the 1-worker executors
- * are), so both passes and every worker count agree on capacity.
+ * Contains requests, one at a time, through a fresh 1-worker
+ * executor, fed into the virtual service-time model. Deterministic (the 1-worker
+ * executors are), so both passes and every worker count agree on
+ * capacity.
  */
 std::uint64_t
 calibrateServiceNs(const SchemeCell &s, const ServiceConfig &proto)
 {
     std::unique_ptr<RequestExecutor> exec =
-        makeExecutor(s, 1, /*sim_replay=*/false);
-    exec->populate(proto.workload);
+        makeExecutor(s, /*sim_replay=*/false);
+    exec->populate(proto.workload, 1);
     constexpr unsigned kProbes = 64;
     std::uint64_t barriers = 0, aborts = 0, irrevoc = 0;
     for (unsigned i = 0; i < kProbes; ++i) {
         ServiceRequest req;
         req.op = OpKind::Contains;
         req.key = (i * 37) % proto.workload.keyRange;
-        ExecOutcome o = exec->execute(req, 0);
+        ExecOutcome o = exec->execute(req);
         barriers += o.barriers;
         aborts += o.aborts;
         irrevoc += o.irrevocable;
@@ -195,13 +189,13 @@ serveConfig(LoadKind load, std::uint64_t seed, unsigned workers,
     ServiceConfig cfg;
     cfg.workload = serveWorkload(seed);
     cfg.workers = workers;
-    cfg.rivalCap = 3;
     cfg.baseServiceNs = 40'000;
     cfg.perBarrierNs = 12;
     cfg.perAbortNs = 20'000;
     cfg.perIrrevocNs = 40'000;
     cfg.durationNs = duration_ns;
     cfg.windowNs = 1'000'000;
+    cfg.rivalCap = 3;
     cfg.admission.queueCap = 64;
     cfg.admission.sloP99Ns = 20 * service_ns;
     cfg.admission.sloMultiple = 2.0;
@@ -229,10 +223,10 @@ serveConfig(LoadKind load, std::uint64_t seed, unsigned workers,
         // backlog drain at every worker count.
         cfg.admission.sloP99Ns =
             (cfg.admission.queueCap / workers + 8) * service_ns / 2;
-        // Rivalry cells (sim, native w1) drain their pre-shed backlog
-        // at an abort-inflated service time the zero-contention
-        // calibration cannot see; widen the checked bound (not the
-        // trigger) to cover it.
+        // The pre-shed backlog (run concurrently on the native pool,
+        // against rivals on the sim) drains at an abort-inflated
+        // service time the contention-free calibration cannot see;
+        // widen the checked bound (not the trigger) to cover it.
         cfg.admission.sloMultiple = 2.5;
         break;
       case LoadKind::Burst:
@@ -291,12 +285,10 @@ checkCell(LoadKind load, const ServiceConfig &cfg, const ServiceResult &r,
         return "occupancy: per-worker busyNs does not sum to total";
     if (occDone != r.completed)
         return "occupancy: per-worker completed does not sum";
-    if (r.fingerprintExempt) {
-        // Pool cell: the three-way validation stands in for
-        // bit-identity and must actually have run and passed.
+    if (r.pool.enabled) {
+        // Native cell: the three-way validation must actually have
+        // run and passed (for w2+ it stands in for bit-identity).
         const PoolOutcome &p = r.pool;
-        if (!p.enabled)
-            return "pool cell without a pool report";
         if (!p.oracleChecked || !p.oracleOk)
             return "pool replay oracle failed: " + p.diag;
         if (p.simReplayChecked && !p.simReplayOk)
@@ -318,10 +310,11 @@ checkCell(LoadKind load, const ServiceConfig &cfg, const ServiceResult &r,
             return "underload did not complete every request";
         break;
       case LoadKind::Sat:
-        // The contention feedback loop (rivals -> aborts -> longer
-        // service) pushes effective utilization past 1.0 at the
-        // zero-rival-calibrated knee, so some queue-full drops are
-        // expected; the check is "most work completes, no collapse".
+        // The contention feedback loop (backlog -> concurrent
+        // requests or rivals -> aborts -> longer service) pushes
+        // effective utilization past 1.0 at the contention-free-
+        // calibrated knee, so some queue-full drops are expected; the
+        // check is "most work completes, no collapse".
         if (r.completed < r.offered * 2 / 3)
             return "saturation completed < 2/3 of offered";
         if (r.goodputPerSec < 0.5 * capacity)
@@ -504,7 +497,7 @@ main(int argc, char **argv)
     for (Cell &c : cells) {
         runner.add([&c, sim_replay]() -> ExperimentResult {
             std::unique_ptr<RequestExecutor> exec =
-                makeExecutor(*c.scheme, c.workers, sim_replay);
+                makeExecutor(*c.scheme, sim_replay);
             c.result = runService(c.cfg, *exec);
             return {};
         });
@@ -512,7 +505,7 @@ main(int argc, char **argv)
     for (Cell &c : cells) {
         runner.add([&c, sim_replay]() -> ExperimentResult {
             std::unique_ptr<RequestExecutor> exec =
-                makeExecutor(*c.scheme, c.workers, sim_replay);
+                makeExecutor(*c.scheme, sim_replay);
             ServiceResult r = runService(c.cfg, *exec);
             c.rerunFingerprint = r.fingerprint();
             c.rerunDiag = checkCell(c.load, c.cfg, r, c.serviceNs);
@@ -653,19 +646,19 @@ main(int argc, char **argv)
             tcfg.trace = parsed.requests;
             {
                 std::unique_ptr<RequestExecutor> e =
-                    makeExecutor(kSchemes[0], 1, false);
+                    makeExecutor(kSchemes[0], false);
                 ServiceResult r = runService(tcfg, *e);
                 fp_native = r.fingerprint();
                 offered_native = r.offered;
             }
             {
                 std::unique_ptr<RequestExecutor> e =
-                    makeExecutor(kSchemes[0], 1, false);
+                    makeExecutor(kSchemes[0], false);
                 fp_native2 = runService(tcfg, *e).fingerprint();
             }
             if (sim_allowed) {
                 std::unique_ptr<RequestExecutor> e =
-                    makeExecutor(kSchemes[2], 1, false);
+                    makeExecutor(kSchemes[2], false);
                 offered_sim = runService(tcfg, *e).offered;
             }
             if (offered_native != stream.size())

@@ -12,7 +12,7 @@
  * Document schema (one per bench binary):
  *   {
  *     "bench": "<name>",
- *     "schemaVersion": 8,
+ *     "schemaVersion": 11,
  *     "runs": [ { "label": ...,
  *                 "config": { ...ExperimentConfig|MicroConfig... },
  *                 "result": { "makespan", "instructions", "loads",
@@ -117,6 +117,11 @@
  * "workerScaling" summary ({"hostCores", per-cell goodput and
  * host-side exec/sec, the 4-vs-1-worker saturated-goodput ratio and
  * whether the >= 1.8x bar was checked or skipped for lack of cores}).
+ *
+ * v11: every native serve cell, workers=1 included, runs on the
+ * worker pool and carries the "pool" block ("rivalsInjected" is 0 on
+ * native cells); fingerprintExempt is true exactly for native cells
+ * with workers > 1.
  */
 
 #ifndef HASTM_HARNESS_REPORT_HH
@@ -132,7 +137,7 @@
 namespace hastm {
 
 /** The report document format version (see the header comment). */
-constexpr unsigned kReportSchemaVersion = 10;
+constexpr unsigned kReportSchemaVersion = 11;
 
 Json toJson(const Histogram &h);
 Json toJson(const LatencyHistogram &h);

@@ -477,7 +477,7 @@ NativeThread::noteAbort(const TxConflictAbort &abort)
 void
 NativeThread::maybeEscalate(unsigned consec_aborts)
 {
-    if (irrevocable_ || !watchdogEnabled_)
+    if (irrevocable_)
         return;
     const StmConfig &cfg = rt_.cfg();
     bool starving =

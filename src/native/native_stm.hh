@@ -515,17 +515,6 @@ class alignas(64) NativeThread : public TmExec
 
     unsigned id() const { return id_; }
 
-    /**
-     * Opt this thread out of watchdog escalation. A contention-helper
-     * thread whose transactions run inline from inside another
-     * thread's open transaction (service/executor.hh) must never
-     * quiesce-wait on the serial gate: the suspended peer can never
-     * depart while the helper blocks, so entering the gate would
-     * deadlock the host thread. Such a helper retries or gives up;
-     * it never goes irrevocable.
-     */
-    void setWatchdogEnabled(bool on) { watchdogEnabled_ = on; }
-
     /** Begin-time snapshot of the current transaction (tests). */
     std::uint64_t snapshotForTest() const { return snapshot_; }
 
@@ -710,7 +699,6 @@ class alignas(64) NativeThread : public TmExec
 
     unsigned sinceValidate_ = 0;
     bool irrevocable_ = false;
-    bool watchdogEnabled_ = true;
 
     /** Pad the tail so the hot state above (stats included) never
      *  shares its last cache line with a neighbouring allocation. */

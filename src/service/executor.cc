@@ -1,5 +1,9 @@
 #include "service/executor.hh"
 
+#include <algorithm>
+
+#include "harness/native_experiment.hh"
+#include "service/worker_pool.hh"
 #include "sim/logging.hh"
 
 namespace hastm {
@@ -35,32 +39,13 @@ RivalryExec::unreachable(const char *hook)
           hook);
 }
 
-std::uint32_t
-siteForOp(OpKind op)
-{
-    switch (op) {
-      case OpKind::Contains: return txsite::kDsContains;
-      case OpKind::Insert:   return txsite::kDsInsert;
-      case OpKind::Remove:   return txsite::kDsRemove;
-    }
-    return txsite::kGeneric;
-}
-
 namespace svcdetail {
 
-Addr
+void
 buildAndPopulate(TmExec &t, const ExecutorWorkload &w, DsInstance *ds,
                  std::vector<OpRecord> *pop_log)
 {
     *ds = makeDs(t, w.workload, w.hashBuckets);
-    Addr hot = kNullAddr;
-    unsigned classes = w.conflictClasses ? w.conflictClasses : 1;
-    t.setSite(txsite::kGeneric);
-    t.atomic([&] {
-        hot = t.txAlloc(classes * 8);
-        for (unsigned c = 0; c < classes; ++c)
-            t.writeField(hot, c * 8, 1);
-    });
     Rng pop(w.seed * 7919 + 1);
     for (std::uint64_t i = 0; i < w.initialSize; ++i) {
         std::uint64_t key = pop.range(w.keyRange);
@@ -71,7 +56,6 @@ buildAndPopulate(TmExec &t, const ExecutorWorkload &w, DsInstance *ds,
                                 key, val, res, pop_log->size()});
         }
     }
-    return hot;
 }
 
 ExecOutcome
@@ -92,122 +76,221 @@ runOp(TmExec &t, const DsOps &ops, const ServiceRequest &req)
     return o;
 }
 
-void
-fillDeltas(ExecOutcome *o, const StatSnap &before, const TmStats &after)
+ExecOutcome
+measureOp(TmExec &t, const DsOps &ops, const ServiceRequest &req)
 {
-    StatSnap now(after);
-    o->commits = now.commits - before.commits;
-    o->aborts = now.aborts - before.aborts;
-    o->barriers = now.barriers - before.barriers;
-    o->irrevocable = now.irrevocable - before.irrevocable;
+    // The stat fields the service-time model and segments consume.
+    auto snap = [&t](ExecOutcome *o) {
+        const TmStats &s = t.stats();
+        o->commits = s.commits;
+        o->aborts = s.aborts;
+        o->barriers = s.rdBarriers + s.wrBarriers;
+        o->irrevocable = s.irrevocableEntries;
+        o->serialDispatch =
+            s.adaptiveDispatch[unsigned(AdaptiveMode::Serial)];
+    };
+    ExecOutcome before, after;
+    snap(&before);
+    after.opResult = runOp(t, ops, req).opResult;
+    snap(&after);
+    after.commits -= before.commits;
+    after.aborts -= before.aborts;
+    after.barriers -= before.barriers;
+    after.irrevocable -= before.irrevocable;
+    after.serialDispatch -= before.serialDispatch;
+    after.commitStamp = t.commitStamp();
+    return after;
 }
 
 } // namespace svcdetail
 
-using svcdetail::buildAndPopulate;
-using svcdetail::fillDeltas;
-using svcdetail::runOp;
-using svcdetail::StatSnap;
-
-// ---- RequestExecutor pool defaults ----
-
-std::uint64_t
-RequestExecutor::submit(const ServiceRequest &)
-{
-    panic("RequestExecutor::submit on a synchronous executor");
-}
-
-ExecOutcome
-RequestExecutor::collect(std::uint64_t)
-{
-    panic("RequestExecutor::collect on a synchronous executor");
-}
-
 // ---- NativeRequestExecutor ----
 
 NativeRequestExecutor::NativeRequestExecutor(const StmConfig &stm,
-                                             std::size_t heap_bytes)
-    : backend_([&] {
-          NativeSessionConfig cfg;
-          cfg.numThreads = 2;  // thread 0 requests, thread 1 rivalry
-          cfg.stm = stm;
-          cfg.heapBytes = heap_bytes;
-          return cfg;
-      }())
+                                             bool sim_replay,
+                                             const NativeFaultParams &fault)
+    : stm_(stm), simReplay_(sim_replay), fault_(fault)
 {
-    exec_ = std::make_unique<RivalryExec>(backend_.thread(0));
-    // The rival runs inline from inside the worker's open
-    // transaction. If it ever conflicted with a record the suspended
-    // worker owns (record-table aliasing), escalating to the serial
-    // gate would quiesce-wait on a transaction that cannot depart —
-    // a single-host-thread deadlock. The rival never escalates; a
-    // conflicted rival gives up instead (see execute()).
-    backend_.session().thread(1).setWatchdogEnabled(false);
 }
 
+NativeRequestExecutor::~NativeRequestExecutor() = default;
+
 void
-NativeRequestExecutor::populate(const ExecutorWorkload &w)
+NativeRequestExecutor::populate(const ExecutorWorkload &w, unsigned workers)
 {
-    classes_ = w.conflictClasses ? w.conflictClasses : 1;
-    hot_ = buildAndPopulate(backend_.thread(0), w, &ds_);
-    backend_.resetStats();
+    // The pool's threads run on the old backend's NativeThreads:
+    // retire them before the backend goes.
+    pool_.reset();
+    NativeSessionConfig nc;
+    nc.numThreads = std::max(1u, workers);
+    nc.stm = stm_;
+    nc.fault = fault_;
+    backend_ = std::make_unique<NativeBackend>(nc);
+    workload_ = w;
+    popLog_.clear();
+    logs_.assign(nc.numThreads, {});
+    // Inline on thread 0 before the pool spins up: no concurrency
+    // during populate, so the epoch-0 log is in program order.
+    svcdetail::buildAndPopulate(backend_->thread(0), w, &ds_, &popLog_);
+    backend_->resetStats();
+    pool_ = std::make_unique<WorkerPool>(
+        nc.numThreads, [this](unsigned worker, const ServiceRequest &req) {
+            return runOne(worker, req);
+        });
 }
 
 ExecOutcome
-NativeRequestExecutor::execute(const ServiceRequest &req, unsigned rivals)
+NativeRequestExecutor::runOne(unsigned worker, const ServiceRequest &req)
 {
-    TmExec &worker = backend_.thread(0);
-    TmExec &rival = backend_.thread(1);
-    unsigned cls = unsigned(req.key % classes_);
-    StatSnap before(worker.stats());
-    exec_->arm(hot_, cls, rivals, [this, &rival, cls] {
-        // Single real attempt: a first-attempt conflict means the
-        // rival aliased a record the suspended worker owns, and no
-        // amount of retrying can succeed until the worker departs —
-        // give up via user abort (the worker then commits unrivalled
-        // this attempt, deterministically).
-        unsigned tries = 0;
-        rival.atomic([&] {
-            if (tries++ > 0)
-                rival.userAbort();
-            rival.writeField(hot_, cls * 8, ++rivalSeq_);
-        });
-    });
-    ExecOutcome o = runOp(*exec_, ds_.ops, req);
-    exec_->arm(hot_, cls, 0, nullptr);
-    fillDeltas(&o, before, worker.stats());
-    o.commitStamp = worker.commitStamp();
+    // Only worker `worker` ever touches thread(worker): per-thread
+    // stats deltas and the op log are race-free by construction.
+    ExecOutcome o =
+        svcdetail::measureOp(backend_->thread(worker), ds_.ops, req);
+    std::vector<OpRecord> &log = logs_[worker];
+    log.push_back({o.commitStamp, worker, 1, req.op, req.key, req.value,
+                   o.opResult, log.size()});
     return o;
+}
+
+std::uint64_t
+NativeRequestExecutor::submit(const ServiceRequest &req)
+{
+    HASTM_ASSERT(pool_);
+    return pool_->submit(req);
+}
+
+ExecOutcome
+NativeRequestExecutor::collect(std::uint64_t ticket, unsigned)
+{
+    HASTM_ASSERT(pool_);
+    return pool_->collect(ticket);
+}
+
+ExecOutcome
+NativeRequestExecutor::execute(const ServiceRequest &req)
+{
+    // Through the pool while it runs; inline on thread 0 once the
+    // end-of-run validation has quiesced it (unrecorded: the oracle
+    // has already run).
+    HASTM_ASSERT(pool_);
+    if (!pool_->stopped())
+        return RequestExecutor::execute(req);
+    return svcdetail::measureOp(backend_->thread(0), ds_.ops, req);
+}
+
+void
+NativeRequestExecutor::quiesce()
+{
+    if (pool_)
+        pool_->stop();
+}
+
+PoolOutcome
+NativeRequestExecutor::poolOutcome()
+{
+    quiesce();
+    PoolOutcome po;
+    po.enabled = true;
+    if (!pool_)
+        return po;
+    po.workers = pool_->workers();
+    po.perWorker = pool_->workerStats();
+    po.wallHostNs = pool_->wallHostNs();
+    std::uint64_t executed = 0;
+    for (const PoolWorkerStats &s : po.perWorker)
+        executed += s.executed;
+    po.execPerHostSec =
+        po.wallHostNs
+            ? double(executed) * 1e9 / double(po.wallHostNs)
+            : 0.0;
+
+    auto fail = [&](const std::string &what) {
+        if (po.diag.empty())
+            po.diag = what;
+    };
+
+    // ---- native protocol invariant sweep (always on) ----
+    NativeSession &sess = backend_->session();
+    for (unsigned tid = 0; tid < sess.numThreads(); ++tid) {
+        std::string diag = sess.thread(tid).invariantReport();
+        if (!diag.empty()) {
+            po.nativeInvariantsOk = false;
+            fail("thread " + std::to_string(tid) + ": " + diag);
+        }
+    }
+    if (!sess.runtime().gate().quiescent()) {
+        po.nativeInvariantsOk = false;
+        fail("gate not quiescent");
+    }
+
+    // ---- replay oracle over the merged, serialization-ordered log ----
+    std::vector<OpRecord> log = popLog_;
+    for (const std::vector<OpRecord> &l : logs_)
+        log.insert(log.end(), l.begin(), l.end());
+    std::sort(log.begin(), log.end(), opOrderLess);
+    po.opsRecorded = log.size();
+    TmExec &t0 = backend_->thread(0);
+    std::uint64_t cks = ds_.ops.checksum(t0);
+    std::uint64_t sz = ds_.ops.size(t0);
+    bool inv = ds_.ops.invariant(t0);
+    OracleOutcome oo = replayOps(log, cks, sz, inv, workload_.seed);
+    po.oracleChecked = true;
+    po.oracleOk = oo.ok;
+    if (!oo.ok)
+        fail("oracle: " + oo.diag);
+
+    // ---- sim-replay cross-validation (fibers; off under TSan) ----
+    if (simReplay_) {
+        SimBackendConfig sc;
+        sc.session.scheme = TmScheme::Sequential;
+        sc.session.numThreads = 1;
+        SimBackend sim(sc);
+        ReplayOutcome rep = replayThroughBackend(
+            sim, workload_.workload, workload_.hashBuckets, log);
+        po.simReplayChecked = true;
+        po.simReplayOk = rep.ok && rep.invariantOk &&
+                         rep.checksum == cks && rep.finalSize == sz;
+        if (!po.simReplayOk) {
+            fail("sim replay: " +
+                 (rep.diag.empty() ? std::string("final state differs")
+                                   : rep.diag));
+        }
+    }
+    return po;
 }
 
 TmStats
 NativeRequestExecutor::totalStats() const
 {
-    return backend_.totalStats();
+    return backend_ ? backend_->totalStats() : TmStats{};
 }
 
 std::uint64_t
 NativeRequestExecutor::checksum()
 {
-    return ds_.ops.checksum(backend_.thread(0));
+    quiesce();
+    return ds_.ops.checksum(backend_->thread(0));
 }
 
 std::uint64_t
 NativeRequestExecutor::size()
 {
-    return ds_.ops.size(backend_.thread(0));
+    quiesce();
+    return ds_.ops.size(backend_->thread(0));
 }
 
 bool
 NativeRequestExecutor::invariant()
 {
-    return ds_.ops.invariant(backend_.thread(0));
+    quiesce();
+    return ds_.ops.invariant(backend_->thread(0));
 }
 
 bool
 NativeRequestExecutor::gateQuiescent()
 {
-    return backend_.session().runtime().gate().quiescent();
+    quiesce();
+    return backend_->session().runtime().gate().quiescent();
 }
 
 // ---- SimRequestExecutor ----
@@ -224,20 +307,38 @@ SimRequestExecutor::SimRequestExecutor(TmScheme scheme,
 }
 
 void
-SimRequestExecutor::populate(const ExecutorWorkload &w)
+SimRequestExecutor::populate(const ExecutorWorkload &w, unsigned)
 {
-    classes_ = w.conflictClasses ? w.conflictClasses : 1;
+    pending_.clear();
+    classes_ = std::max(1u, w.conflictClasses);
     backend_->run({[&](TmExec &t) {
-        hot_ = buildAndPopulate(t, w, &ds_);
+        t.setSite(txsite::kGeneric);
+        t.atomic([&] {
+            hot_ = t.txAlloc(classes_ * 8);
+            for (unsigned c = 0; c < classes_; ++c)
+                t.writeField(hot_, c * 8, 1);
+        });
+        svcdetail::buildAndPopulate(t, w, &ds_);
     }});
     backend_->resetStats();
 }
 
-ExecOutcome
-SimRequestExecutor::execute(const ServiceRequest &req, unsigned rivals)
+std::uint64_t
+SimRequestExecutor::submit(const ServiceRequest &req)
 {
+    std::uint64_t ticket = nextTicket_++;
+    pending_.emplace(ticket, req);
+    return ticket;
+}
+
+ExecOutcome
+SimRequestExecutor::collect(std::uint64_t ticket, unsigned rivals)
+{
+    auto it = pending_.find(ticket);
+    HASTM_ASSERT(it != pending_.end());
+    const ServiceRequest req = it->second;
+    pending_.erase(it);
     unsigned cls = unsigned(req.key % classes_);
-    StatSnap before(backend_->thread(0).stats());
     ExecOutcome o;
     RivalPace pace;
     // Spin quantum and cap for the handshake: enough simulated work
@@ -255,7 +356,8 @@ SimRequestExecutor::execute(const ServiceRequest &req, unsigned rivals)
                 t.simInstr(kSpin);
             }
         });
-        o = runOp(rx, ds_.ops, req);
+        o = svcdetail::measureOp(rx, ds_.ops, req);
+        o.commitStamp = t.commitStamp();
         pace.quit = true;
     });
     if (rivals > 0) {
@@ -275,8 +377,7 @@ SimRequestExecutor::execute(const ServiceRequest &req, unsigned rivals)
         });
     }
     backend_->run(bodies);
-    fillDeltas(&o, before, backend_->thread(0).stats());
-    o.commitStamp = backend_->thread(0).commitStamp();
+    o.rivals = rivals;
     return o;
 }
 

@@ -7,29 +7,35 @@
  * — real barriers, real aborts, real watchdog escalations, real
  * serial-gate entries — and the measured outcome (barrier/abort/
  * irrevocable deltas) feeds the deterministic service-time model.
- * Contention is injected deterministically, scaled by how many busy
- * workers collide on the request's conflict class:
+ * Each backend has exactly one executor, both driven the same way:
+ * every admitted request is submitted at admission and its outcome
+ * collected at virtual dispatch.
  *
- *  - NativeRequestExecutor drives a 2-thread NativeSession inline
- *    from the event loop's host thread: thread 0 executes the
- *    request through a RivalryExec decorator whose atomic() brackets
- *    the body with reads of a per-class hot word and fires rival
- *    commits through thread 1 (a genuine second NativeThread) that
- *    invalidate the bracket read — each armed attempt takes a real
- *    conflict abort, retries, and escalates through the watchdog /
- *    serial gate exactly as concurrent overload would, while staying
- *    bit-identical run to run (no host races anywhere).
- *  - SimRequestExecutor runs each request as a 2-fiber simulator
- *    step: body 0 is the bracketed request, body 1 a genuine rival
- *    fiber committing hot-word writes concurrently under the
- *    deterministic scheduler. The fibers pace each other through a
- *    host-side handshake (fibers are cooperative, so plain flags are
- *    deterministic): each worker attempt signals for exactly one
- *    rival commit and spins simulated instructions until it lands
- *    inside the attempt's window — the same one-rival-per-attempt
- *    contract the native path gets from firing inline. This is where
- *    the Adaptive arbiter and every simulated scheme meet
- *    open-system overload.
+ *  - NativeRequestExecutor runs one long-lived host thread per
+ *    virtual worker, each bound to one NativeThread, behind a
+ *    WorkerPool (service/worker_pool.hh). A request starts the moment
+ *    it is submitted and runs concurrently with everything else
+ *    admitted, so contention is whatever the concurrently running
+ *    requests genuinely produce. With one worker the requests run
+ *    FIFO in admission order, alone, so every measured outcome — and
+ *    the whole service run — is bit-identical run to run. With N > 1
+ *    outcomes depend on host interleaving; the executor records every
+ *    request and validates the run instead (replay oracle, sim
+ *    replay, invariant sweep).
+ *  - SimRequestExecutor runs each request at collect time as a
+ *    2-fiber simulator step: body 0 is the request, bracketed by a
+ *    RivalryExec with reads of a per-class hot word, body 1 a genuine
+ *    rival fiber committing hot-word writes concurrently under the
+ *    deterministic scheduler. The caller scales the rival count by
+ *    how many busy virtual workers collide on the request's conflict
+ *    class. The fibers pace each other through a host-side handshake
+ *    (fibers are cooperative, so plain flags are deterministic): each
+ *    worker attempt signals for exactly one rival commit and spins
+ *    simulated instructions until it lands inside the attempt's
+ *    window. This is where the Adaptive arbiter and every simulated
+ *    scheme meet open-system overload. (Running the backlog on N
+ *    worker fibers instead reverses the adaptive-vs-STM result; see
+ *    EXPERIMENTS.md.)
  */
 
 #ifndef HASTM_SERVICE_EXECUTOR_HH
@@ -38,6 +44,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "backend/native_backend.hh"
@@ -48,6 +55,8 @@
 
 namespace hastm {
 
+class WorkerPool;
+
 /** The data structure one executor serves, plus its initial load. */
 struct ExecutorWorkload
 {
@@ -56,7 +65,7 @@ struct ExecutorWorkload
     std::uint64_t initialSize = 256;
     std::uint64_t keyRange = 1024;
     std::uint64_t seed = 1;
-    /** Keys map to key % conflictClasses hot words (rivalry). */
+    /** Keys map to key % conflictClasses hot words (sim rivalry). */
     unsigned conflictClasses = 8;
 };
 
@@ -64,10 +73,12 @@ struct ExecutorWorkload
 struct ExecOutcome
 {
     bool opResult = false;
+    unsigned rivals = 0;               //!< sim rival commits armed
     std::uint64_t commits = 0;
     std::uint64_t aborts = 0;
-    std::uint64_t barriers = 0;      //!< read + write barriers
-    std::uint64_t irrevocable = 0;   //!< serial-gate escalations
+    std::uint64_t barriers = 0;        //!< read + write barriers
+    std::uint64_t irrevocable = 0;     //!< serial-gate escalations
+    std::uint64_t serialDispatch = 0;  //!< adaptive serial-rung txns
     std::uint64_t commitStamp = 0;
 };
 
@@ -81,13 +92,11 @@ struct ExecOutcome
  *   read hot[cls] again  ->  genuine stale-read abort
  *
  * Each armed attempt consumes one pending rival and fires it through
- * the caller-supplied hook — inline on the native backend, via the
- * fiber handshake on the sim — so `rivals` attempts take a real
- * conflict abort each, then the request commits cleanly (or a
- * watchdog escalation cuts the sequence short). Irrevocable attempts
- * never bracket: an irrevocable transaction runs alone by definition
- * (and a native rival would park on the gate the executing thread
- * holds).
+ * the caller-supplied hook (the sim executor's fiber handshake), so
+ * `rivals` attempts take a real conflict abort each, then the request
+ * commits cleanly (or a watchdog escalation cuts the sequence short).
+ * Irrevocable attempts never bracket: an irrevocable transaction runs
+ * alone by definition.
  */
 class RivalryExec : public TmExec
 {
@@ -176,7 +185,7 @@ struct RivalPace
     bool quit = false;  //!< worker finished; rival must not wait more
 };
 
-/** One host worker thread's end-of-run tally (pool executors). */
+/** One host worker thread's end-of-run tally (native pool). */
 struct PoolWorkerStats
 {
     std::uint64_t executed = 0;    //!< requests this worker ran
@@ -186,12 +195,12 @@ struct PoolWorkerStats
 };
 
 /**
- * End-of-run report of a concurrent (pool) executor: per-worker
- * host occupancy plus the three-way validation verdict that stands
- * in for bit-identical fingerprints when workers > 1 — the replay
- * oracle over the recorded op log, the optional sim-replay
- * cross-validation, and the native protocol invariant sweep.
- * enabled stays false for the synchronous executors.
+ * End-of-run report of the native pool: per-worker host occupancy
+ * plus the three-way validation verdict — the replay oracle over the
+ * recorded op log, the optional sim-replay cross-validation, and the
+ * native protocol invariant sweep. It stands in for bit-identical
+ * fingerprints when workers > 1 and is checked at every worker
+ * count. enabled stays false for the sim executor.
  */
 struct PoolOutcome
 {
@@ -209,40 +218,37 @@ struct PoolOutcome
     std::string diag;                   //!< first failure, when any
 };
 
-/** One scheme/backend's request-execution engine for the service. */
+/** One backend's request-execution engine for the service. */
 class RequestExecutor
 {
   public:
     virtual ~RequestExecutor() = default;
 
-    /** Build + populate the structure; resets stats afterwards. */
-    virtual void populate(const ExecutorWorkload &w) = 0;
+    /** Build + populate the structure for @p workers virtual
+     *  workers; resets stats afterwards. */
+    virtual void populate(const ExecutorWorkload &w, unsigned workers) = 0;
+
+    /** Hand an admitted request to the executor; returns its ticket.
+     *  May block while the native dispatch channel is full. */
+    virtual std::uint64_t submit(const ServiceRequest &req) = 0;
 
     /**
-     * Execute @p req with @p rivals injected conflicting commits
-     * (scaled by the caller from real worker-collision state).
+     * Block until the submitted request really finished. @p rivals
+     * is how many busy virtual workers collide with it: the sim
+     * executor injects that many rival commits, the native pool
+     * ignores it (its workers really run side by side).
      */
-    virtual ExecOutcome execute(const ServiceRequest &req,
-                                unsigned rivals) = 0;
+    virtual ExecOutcome collect(std::uint64_t ticket, unsigned rivals) = 0;
 
-    /**
-     * True when requests run on real concurrent worker threads via
-     * submit()/collect(). The event loop then hands every admitted
-     * request to the pool immediately and collects the measured
-     * outcome at virtual dispatch; results are fingerprint-exempt
-     * (validated by PoolOutcome instead).
-     */
-    virtual bool concurrent() const { return false; }
+    /** Synchronous, rival-free probe (calibration, post-run checks). */
+    virtual ExecOutcome
+    execute(const ServiceRequest &req)
+    {
+        return collect(submit(req), 0);
+    }
 
-    /** Hand an admitted request to the pool; returns its ticket.
-     *  Blocks while the bounded dispatch channel is full. */
-    virtual std::uint64_t submit(const ServiceRequest &req);
-
-    /** Block until the submitted request really finished. */
-    virtual ExecOutcome collect(std::uint64_t ticket);
-
-    /** Pool occupancy + validation report (disabled unless
-     *  concurrent(); quiesces the pool first). */
+    /** Pool occupancy + validation report (native only; quiesces the
+     *  pool first). */
     virtual PoolOutcome poolOutcome() { return {}; }
 
     virtual TmStats totalStats() const = 0;
@@ -250,101 +256,104 @@ class RequestExecutor
     virtual std::uint64_t size() = 0;
     virtual bool invariant() = 0;
     virtual bool gateQuiescent() { return true; }
-    virtual BackendKind backendKind() const = 0;
 };
 
+/**
+ * The native executor: a NativeBackend with one NativeThread per
+ * virtual worker (sized by populate()), every request recorded for
+ * the end-of-run replay validation.
+ */
 class NativeRequestExecutor : public RequestExecutor
 {
   public:
-    NativeRequestExecutor(const StmConfig &stm,
-                          std::size_t heap_bytes = 64ull << 20);
+    /**
+     * @param sim_replay  also cross-validate the recorded op log
+     *        through the sequential simulated backend in
+     *        poolOutcome(). Disable under TSan (fibers cannot be
+     *        instrumented) — the in-process replay oracle still runs.
+     * @param fault  native fault-injection campaign (off by default).
+     */
+    explicit NativeRequestExecutor(const StmConfig &stm,
+                                   bool sim_replay = true,
+                                   const NativeFaultParams &fault = {});
+    ~NativeRequestExecutor() override;
 
-    void populate(const ExecutorWorkload &w) override;
-    ExecOutcome execute(const ServiceRequest &req,
-                        unsigned rivals) override;
+    void populate(const ExecutorWorkload &w, unsigned workers) override;
+    std::uint64_t submit(const ServiceRequest &req) override;
+    ExecOutcome collect(std::uint64_t ticket, unsigned rivals) override;
+    ExecOutcome execute(const ServiceRequest &req) override;
+    PoolOutcome poolOutcome() override;
     TmStats totalStats() const override;
     std::uint64_t checksum() override;
     std::uint64_t size() override;
     bool invariant() override;
     bool gateQuiescent() override;
-    BackendKind backendKind() const override { return BackendKind::Native; }
-
-    NativeBackend &backend() { return backend_; }
 
   private:
-    NativeBackend backend_;
-    std::unique_ptr<RivalryExec> exec_;
+    ExecOutcome runOne(unsigned worker, const ServiceRequest &req);
+    void quiesce();
+
+    const StmConfig stm_;
+    const bool simReplay_;
+    const NativeFaultParams fault_;
+    std::unique_ptr<NativeBackend> backend_;
     DsInstance ds_;
-    Addr hot_ = kNullAddr;
-    unsigned classes_ = 1;
-    std::uint64_t rivalSeq_ = 0;
+    ExecutorWorkload workload_;
+    std::vector<OpRecord> popLog_;
+    /** Per-worker request logs; log w is written only by worker w
+     *  (the pool join orders them before the merge reads). */
+    std::vector<std::vector<OpRecord>> logs_;
+    std::unique_ptr<WorkerPool> pool_;
 };
 
+/** The sim executor: a request core plus a rival core. */
 class SimRequestExecutor : public RequestExecutor
 {
   public:
     SimRequestExecutor(TmScheme scheme, const StmConfig &stm);
 
-    void populate(const ExecutorWorkload &w) override;
-    ExecOutcome execute(const ServiceRequest &req,
-                        unsigned rivals) override;
+    /** @p workers is unused: requests run one at a time, the other
+     *  busy workers' contention arrives as rivals. */
+    void populate(const ExecutorWorkload &w, unsigned workers) override;
+    std::uint64_t submit(const ServiceRequest &req) override;
+    ExecOutcome collect(std::uint64_t ticket, unsigned rivals) override;
     TmStats totalStats() const override;
     std::uint64_t checksum() override;
     std::uint64_t size() override;
     bool invariant() override;
-    BackendKind backendKind() const override { return BackendKind::Sim; }
-
-    SimBackend &backend() { return *backend_; }
 
   private:
     std::unique_ptr<SimBackend> backend_;
     DsInstance ds_;
     Addr hot_ = kNullAddr;
     unsigned classes_ = 1;
+    std::unordered_map<std::uint64_t, ServiceRequest> pending_;
+    std::uint64_t nextTicket_ = 0;
 };
 
-/** Site tag for @p op (the ds ops re-tag; harmless duplication). */
-std::uint32_t siteForOp(OpKind op);
-
 /**
- * Shared executor plumbing, exported for the worker pool
- * (service/worker_pool.cc): the inline executors above and the pool
- * workers must populate identically and measure identically or the
- * two modes would not be comparable.
+ * Shared executor plumbing, exported for the benchmarks: everything
+ * that drives requests must populate identically and measure
+ * identically or the numbers would not be comparable.
  */
 namespace svcdetail {
 
 /**
- * Build the structure and the per-class hot-word array through
- * @p t, then load initialSize random inserts from the dedicated
- * populate stream (same derivation as harness/native_experiment.cc).
- * When @p pop_log is non-null, every populate insert is recorded as
- * an epoch-0 OpRecord for the replay oracle.
+ * Build the structure through @p t, then load initialSize random
+ * inserts from the dedicated populate stream (same derivation as
+ * harness/native_experiment.cc). When @p pop_log is non-null, every
+ * populate insert is recorded as an epoch-0 OpRecord for the replay
+ * oracle.
  */
-Addr buildAndPopulate(TmExec &t, const ExecutorWorkload &w,
-                      DsInstance *ds,
+void buildAndPopulate(TmExec &t, const ExecutorWorkload &w, DsInstance *ds,
                       std::vector<OpRecord> *pop_log = nullptr);
 
 /** Run @p req's single map operation through @p t. */
-ExecOutcome runOp(TmExec &t, const DsOps &ops,
-                  const ServiceRequest &req);
+ExecOutcome runOp(TmExec &t, const DsOps &ops, const ServiceRequest &req);
 
-/** The stat fields the service-time model consumes, snapshotted. */
-struct StatSnap
-{
-    std::uint64_t commits, aborts, barriers, irrevocable;
-
-    explicit StatSnap(const TmStats &s)
-        : commits(s.commits), aborts(s.aborts),
-          barriers(s.rdBarriers + s.wrBarriers),
-          irrevocable(s.irrevocableEntries)
-    {
-    }
-};
-
-/** Fill @p o's deltas as @p after minus @p before. */
-void fillDeltas(ExecOutcome *o, const StatSnap &before,
-                const TmStats &after);
+/** runOp plus @p t's stats deltas and commit stamp. */
+ExecOutcome measureOp(TmExec &t, const DsOps &ops,
+                      const ServiceRequest &req);
 
 } // namespace svcdetail
 

@@ -32,7 +32,7 @@ struct Worker
     unsigned cls = 0;
 };
 
-/** A queued admitted request plus its pool ticket (pooled mode). */
+/** A queued admitted request plus its executor ticket. */
 struct Queued
 {
     ServiceRequest req;
@@ -54,7 +54,6 @@ class ServiceRun
   public:
     ServiceRun(const ServiceConfig &cfg, RequestExecutor &exec)
         : cfg_(cfg), exec_(exec),
-          pooled_(exec.concurrent()),
           admission_(cfg.admission),
           workers_(std::max(1u, cfg.workers)),
           wBusy_(workers_.size(), 0),
@@ -77,16 +76,15 @@ class ServiceRun
 
     const ServiceConfig &cfg_;
     RequestExecutor &exec_;
-    /** Concurrent executor: submit at admission, collect at
-     *  dispatch; segment TM deltas come from collected outcomes
-     *  (reading live pool-thread stats mid-run would race). */
-    const bool pooled_;
     AdmissionController admission_;
     ServiceResult r_;
 
     std::vector<Worker> workers_;
     std::vector<std::uint64_t> wBusy_, wDone_;  //!< virtual occupancy
-    TmStats acc_;  //!< pooled mode: outcome-accumulated TM counters
+    /** TM counters accumulated from collected outcomes: segment
+     *  deltas come from here (reading live pool-thread stats mid-run
+     *  would race). */
+    TmStats acc_;
     std::deque<Queued> queue_;
     std::priority_queue<Completion, std::vector<Completion>,
                         std::greater<Completion>>
@@ -157,7 +155,6 @@ ServiceRun::closeWindow()
 void
 ServiceRun::closeSegment(std::uint64_t end_ns)
 {
-    TmStats now = pooled_ ? acc_ : exec_.totalStats();
     ServiceSegment s;
     s.burst = segBurst_;
     s.startNs = segStart_;
@@ -165,12 +162,12 @@ ServiceRun::closeSegment(std::uint64_t end_ns)
     s.offered = segOffered_;
     s.completed = segCompleted_;
     s.shed = segShed_;
-    s.commits = now.commits - segBase_.commits;
-    s.aborts = now.aborts - segBase_.aborts;
+    s.commits = acc_.commits - segBase_.commits;
+    s.aborts = acc_.aborts - segBase_.aborts;
     s.irrevocableEntries =
-        now.irrevocableEntries - segBase_.irrevocableEntries;
+        acc_.irrevocableEntries - segBase_.irrevocableEntries;
     s.serialDispatch =
-        now.adaptiveDispatch[unsigned(AdaptiveMode::Serial)] -
+        acc_.adaptiveDispatch[unsigned(AdaptiveMode::Serial)] -
         segBase_.adaptiveDispatch[unsigned(AdaptiveMode::Serial)];
     r_.segments.push_back(s);
     if (sink_) {
@@ -182,7 +179,7 @@ ServiceRun::closeSegment(std::uint64_t end_ns)
     segStart_ = end_ns;
     segBurst_ = !segBurst_;
     segOffered_ = segCompleted_ = segShed_ = 0;
-    segBase_ = now;
+    segBase_ = acc_;
 }
 
 void
@@ -236,25 +233,23 @@ ServiceRun::dispatchFree(std::uint64_t now)
         const ServiceRequest &req = q.req;
         unsigned cls =
             unsigned(req.key % std::max(1u, cfg_.workload.conflictClasses));
-        ExecOutcome o;
-        if (pooled_) {
-            // The request has been running for real since admission;
-            // contention came from genuinely concurrent workers, not
-            // an injected rival. Block for its measured outcome.
-            o = exec_.collect(q.ticket);
-            acc_.commits += o.commits;
-            acc_.aborts += o.aborts;
-            acc_.irrevocableEntries += o.irrevocable;
-        } else {
-            unsigned colliding = 0;
-            for (const Worker &w : workers_) {
-                if (w.busy && w.cls == cls)
-                    ++colliding;
-            }
-            unsigned rivals = std::min(colliding, cfg_.rivalCap);
-            o = exec_.execute(req, rivals);
-            r_.rivalsInjected += rivals;
+        unsigned colliding = 0;
+        for (const Worker &w : workers_) {
+            if (w.busy && w.cls == cls)
+                ++colliding;
         }
+        // Block for the request's measured outcome. The native pool
+        // has been running it since admission, alongside everything
+        // else admitted; the sim executor runs it now, against rivals
+        // scaled by the busy workers it collides with.
+        ExecOutcome o =
+            exec_.collect(q.ticket, std::min(colliding, cfg_.rivalCap));
+        r_.rivalsInjected += o.rivals;
+        acc_.commits += o.commits;
+        acc_.aborts += o.aborts;
+        acc_.irrevocableEntries += o.irrevocable;
+        acc_.adaptiveDispatch[unsigned(AdaptiveMode::Serial)] +=
+            o.serialDispatch;
         if (o.irrevocable > 0 && sink_) {
             sink_->instant(0, now, "serial-escalation",
                            Json::object().set("key", req.key));
@@ -269,11 +264,8 @@ ServiceRun::dispatchFree(std::uint64_t now)
 ServiceResult
 ServiceRun::run()
 {
-    exec_.populate(cfg_.workload);
-    // Pooled mode accumulates TM deltas from collected outcomes (the
-    // pool threads own their live stats); populate reset them, so the
-    // accumulated base is zero.
-    segBase_ = pooled_ ? TmStats{} : exec_.totalStats();
+    // populate() resets the stats, so the accumulated base is zero.
+    exec_.populate(cfg_.workload, unsigned(workers_.size()));
 
     // ---- arrival source ----
     std::unique_ptr<ArrivalGen> gen;
@@ -333,14 +325,10 @@ ServiceRun::run()
             switch (d) {
               case AdmissionDecision::Admit: {
                 ++r_.admitted;
-                Queued q{pending, 0};
-                if (pooled_) {
-                    // Real execution starts now: the pool runs the
-                    // request concurrently with everything else
-                    // admitted but not yet virtually dispatched.
-                    q.ticket = exec_.submit(pending);
-                }
-                queue_.push_back(q);
+                // Real execution may start now: the executor runs the
+                // request concurrently with everything else admitted
+                // but not yet virtually dispatched.
+                queue_.push_back({pending, exec_.submit(pending)});
                 r_.maxQueueDepth = std::max(
                     r_.maxQueueDepth, unsigned(queue_.size()));
                 dispatchFree(tA);
@@ -383,11 +371,11 @@ ServiceRun::run()
     r_.workerCompleted = wDone_;
     for (std::uint64_t b : wBusy_)
         r_.totalBusyNs += b;
-    r_.fingerprintExempt = pooled_;
     // Pool verification first: it quiesces the worker threads, after
     // which the end-of-run structure reads below are single-threaded
-    // on either executor kind.
+    // on either backend.
     r_.pool = exec_.poolOutcome();
+    r_.fingerprintExempt = r_.pool.enabled && r_.pool.workers > 1;
     r_.tm = exec_.totalStats();
     r_.finalSize = exec_.size();
     r_.checksum = exec_.checksum();
@@ -484,11 +472,11 @@ toJson(const ServiceConfig &cfg)
         .set("seed", cfg.workload.seed)
         .set("conflictClasses", cfg.workload.conflictClasses)
         .set("workers", cfg.workers)
+        .set("rivalCap", cfg.rivalCap)
         .set("arrival", std::move(a))
         .set("admission", std::move(adm))
         .set("durationNs", cfg.durationNs)
         .set("windowNs", cfg.windowNs)
-        .set("rivalCap", cfg.rivalCap)
         .set("baseServiceNs", cfg.baseServiceNs)
         .set("perBarrierNs", cfg.perBarrierNs)
         .set("perAbortNs", cfg.perAbortNs)

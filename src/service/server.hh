@@ -4,37 +4,40 @@
  *
  * A discrete-event simulation over a virtual nanosecond clock drives
  * a worker pool through an arrival process, a bounded queue, and an
- * admission controller; every dispatched request is REALLY executed
- * on the configured TmBackend (service/executor.hh) and its measured
- * stats deltas feed a deterministic service-time model:
+ * admission controller; every admitted request is REALLY executed by
+ * the configured backend's executor (service/executor.hh) and its
+ * measured stats deltas feed a deterministic service-time model:
  *
  *   serviceNs = baseServiceNs
  *             + perBarrierNs  * (read+write barrier delta)
  *             + perAbortNs    * (abort delta)
  *             + perIrrevocNs  * (serial-gate escalation delta)
  *
- * so contention — rivals injected in proportion to how many busy
- * workers collide on the request's conflict class — lengthens
- * service, which deepens the queue, which raises rivalry: the
- * open-system overload feedback loop, closed deterministically.
+ * Every admitted request is submitted to the executor at admission,
+ * and its measured outcome is collected when it reaches a free
+ * virtual worker. On the native pool, requests admitted but not yet
+ * collected run side by side on real host threads; the sim executor
+ * runs each request at collection with rivals injected in proportion
+ * to how many busy workers collide on its conflict class. Either way
+ * contention lengthens service, which deepens the queue, which raises
+ * contention: the open-system overload feedback loop.
  *
  * Measurement is first-class: per-request latency (arrival ->
  * completion) in a log-linear percentile histogram, windowed p99
  * (the DelayBackpressure control signal), goodput, drop/shed counts,
  * a queue-depth time series, SLO-violation windows, and per-phase
- * stats segments (the burst-recovery evidence). Everything is a pure
- * function of (ServiceConfig, executor): reruns are bit-identical at
- * any host parallelism because the only clock is virtual.
+ * stats segments (the burst-recovery evidence). With a deterministic
+ * executor — the sim executor, or a one-worker native pool —
+ * everything is a pure function of (ServiceConfig, executor): reruns
+ * are bit-identical at any host parallelism because the only clock is
+ * virtual.
  *
- * Concurrent executors (service/worker_pool.hh) relax exactly one
- * side of that: admitted requests are handed to a real pool of N
- * worker host threads at admission time (submit) and their measured
- * outcomes collected at virtual dispatch (collect), so the measured
- * deltas — and the latencies and segments derived from them — depend
- * on host interleaving. Virtual time stays authoritative and every
- * accounting identity still holds exactly; such results carry
- * fingerprintExempt and a PoolOutcome validation block instead of
- * the bit-identity claim.
+ * A native pool of two or more workers relaxes exactly one side of
+ * that: the measured deltas — and the latencies and segments derived
+ * from them — depend on host interleaving. Virtual time stays
+ * authoritative and every accounting identity still holds exactly;
+ * such results carry fingerprintExempt and rely on the PoolOutcome
+ * validation block instead of the bit-identity claim.
  */
 
 #ifndef HASTM_SERVICE_SERVER_HH
@@ -61,7 +64,7 @@ struct ServiceConfig
     std::uint64_t durationNs = 20'000'000;  //!< arrivals stop here
     std::uint64_t windowNs = 1'000'000;     //!< p99 control window
     unsigned depthSamples = 128;            //!< queue-depth series length
-    /** Cap on injected rivals per request (collision-scaled). */
+    /** Cap on injected sim rivals per request (collision-scaled). */
     unsigned rivalCap = 3;
     // ---- deterministic service-time model ----
     std::uint64_t baseServiceNs = 1500;
@@ -117,7 +120,7 @@ struct ServiceResult
     unsigned maxQueueDepth = 0;
     std::uint64_t rivalsInjected = 0;
     std::vector<ServiceSegment> segments;
-    TmStats tm;  //!< executor totals (request + rival threads)
+    TmStats tm;  //!< executor totals (every worker, sim rival included)
     // ---- virtual per-worker occupancy (schema v10) ----
     /** Virtual busy ns per virtual worker (sums to totalBusyNs). */
     std::vector<std::uint64_t> workerBusyNs;
@@ -130,17 +133,16 @@ struct ServiceResult
     bool invariantOk = false;
     bool gateQuiescent = false;
     /**
-     * True when the executor ran requests on real concurrent pool
-     * threads: measured outcomes (and everything derived from them)
-     * then depend on host interleaving, so the fingerprint must not
-     * be compared across runs — the PoolOutcome validation (replay
+     * True when the executor's outcomes depend on host interleaving
+     * (a native pool of two or more workers): everything derived from
+     * them then varies run to run, so the fingerprint must not be
+     * compared across runs — the PoolOutcome validation (replay
      * oracle, sim replay, invariant sweep) plus the accounting
-     * identities stand in for bit-identity. Synchronous executors
-     * (any sim cell, native workers=1) keep the full bit-identical
-     * contract.
+     * identities stand in for bit-identity. Every other executor
+     * keeps the full bit-identical contract.
      */
     bool fingerprintExempt = false;
-    PoolOutcome pool;  //!< host pool report (enabled=false when sync)
+    PoolOutcome pool;  //!< native pool report (enabled=false on sim)
 
     /** FNV-1a over every deterministic field (rerun comparison).
      *  Meaningless across runs when fingerprintExempt. */

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "harness/native_experiment.hh"
 #include "sim/logging.hh"
 
 namespace hastm {
@@ -126,202 +125,6 @@ WorkerPool::wallHostNs() const
 {
     HASTM_ASSERT(stopped_);
     return wallNs_;
-}
-
-// ---- NativePoolRequestExecutor ----
-
-NativePoolRequestExecutor::NativePoolRequestExecutor(
-    unsigned workers, const StmConfig &stm, bool sim_replay,
-    std::size_t heap_bytes)
-    : workers_(std::max(1u, workers)),
-      simReplay_(sim_replay),
-      backend_([&] {
-          NativeSessionConfig cfg;
-          cfg.numThreads = std::max(1u, workers);
-          cfg.stm = stm;
-          cfg.heapBytes = heap_bytes;
-          return cfg;
-      }())
-{
-}
-
-void
-NativePoolRequestExecutor::populate(const ExecutorWorkload &w)
-{
-    if (pool_)
-        pool_->stop();
-    workload_ = w;
-    popLog_.clear();
-    logs_.assign(workers_, {});
-    // Inline on thread 0 before the pool spins up: no concurrency
-    // during populate, so the epoch-0 log is in program order.
-    svcdetail::buildAndPopulate(backend_.thread(0), w, &ds_, &popLog_);
-    backend_.resetStats();
-    pool_ = std::make_unique<WorkerPool>(
-        workers_, [this](unsigned worker, const ServiceRequest &req) {
-            return runOne(worker, req);
-        });
-}
-
-ExecOutcome
-NativePoolRequestExecutor::runOne(unsigned worker,
-                                  const ServiceRequest &req)
-{
-    // Only worker `worker` ever touches thread(worker): per-thread
-    // stats deltas and the op log are race-free by construction.
-    TmExec &t = backend_.thread(worker);
-    svcdetail::StatSnap before(t.stats());
-    ExecOutcome o = svcdetail::runOp(t, ds_.ops, req);
-    svcdetail::fillDeltas(&o, before, t.stats());
-    o.commitStamp = t.commitStamp();
-    std::vector<OpRecord> &log = logs_[worker];
-    log.push_back({o.commitStamp, worker, 1, req.op, req.key,
-                   req.value, o.opResult, log.size()});
-    return o;
-}
-
-ExecOutcome
-NativePoolRequestExecutor::execute(const ServiceRequest &req, unsigned)
-{
-    // Synchronous probes (calibration, post-run quiescence checks):
-    // through the pool while it runs, inline once quiesced.
-    if (pool_)
-        return pool_->collect(pool_->submit(req));
-    TmExec &t = backend_.thread(0);
-    svcdetail::StatSnap before(t.stats());
-    ExecOutcome o = svcdetail::runOp(t, ds_.ops, req);
-    svcdetail::fillDeltas(&o, before, t.stats());
-    o.commitStamp = t.commitStamp();
-    return o;
-}
-
-std::uint64_t
-NativePoolRequestExecutor::submit(const ServiceRequest &req)
-{
-    HASTM_ASSERT(pool_);
-    return pool_->submit(req);
-}
-
-ExecOutcome
-NativePoolRequestExecutor::collect(std::uint64_t ticket)
-{
-    HASTM_ASSERT(pool_);
-    return pool_->collect(ticket);
-}
-
-void
-NativePoolRequestExecutor::quiesce()
-{
-    if (pool_)
-        pool_->stop();
-}
-
-PoolOutcome
-NativePoolRequestExecutor::poolOutcome()
-{
-    quiesce();
-    PoolOutcome po;
-    po.enabled = true;
-    po.workers = workers_;
-    if (!pool_)
-        return po;
-    po.perWorker = pool_->workerStats();
-    po.wallHostNs = pool_->wallHostNs();
-    std::uint64_t executed = 0;
-    for (const PoolWorkerStats &s : po.perWorker)
-        executed += s.executed;
-    po.execPerHostSec =
-        po.wallHostNs
-            ? double(executed) * 1e9 / double(po.wallHostNs)
-            : 0.0;
-
-    auto fail = [&](const std::string &what) {
-        if (po.diag.empty())
-            po.diag = what;
-    };
-
-    // ---- native protocol invariant sweep (always on) ----
-    NativeSession &sess = backend_.session();
-    for (unsigned tid = 0; tid < sess.numThreads(); ++tid) {
-        std::string diag = sess.thread(tid).invariantReport();
-        if (!diag.empty()) {
-            po.nativeInvariantsOk = false;
-            fail("thread " + std::to_string(tid) + ": " + diag);
-        }
-    }
-    if (!sess.runtime().gate().quiescent()) {
-        po.nativeInvariantsOk = false;
-        fail("gate not quiescent");
-    }
-
-    // ---- replay oracle over the merged, serialization-ordered log ----
-    std::vector<OpRecord> log = popLog_;
-    for (const std::vector<OpRecord> &l : logs_)
-        log.insert(log.end(), l.begin(), l.end());
-    std::sort(log.begin(), log.end(), opOrderLess);
-    po.opsRecorded = log.size();
-    TmExec &t0 = backend_.thread(0);
-    std::uint64_t cks = ds_.ops.checksum(t0);
-    std::uint64_t sz = ds_.ops.size(t0);
-    bool inv = ds_.ops.invariant(t0);
-    OracleOutcome oo = replayOps(log, cks, sz, inv, workload_.seed);
-    po.oracleChecked = true;
-    po.oracleOk = oo.ok;
-    if (!oo.ok)
-        fail("oracle: " + oo.diag);
-
-    // ---- sim-replay cross-validation (fibers; off under TSan) ----
-    if (simReplay_) {
-        SimBackendConfig sc;
-        sc.session.scheme = TmScheme::Sequential;
-        sc.session.numThreads = 1;
-        SimBackend sim(sc);
-        ReplayOutcome rep = replayThroughBackend(
-            sim, workload_.workload, workload_.hashBuckets, log);
-        po.simReplayChecked = true;
-        po.simReplayOk = rep.ok && rep.invariantOk &&
-                         rep.checksum == cks && rep.finalSize == sz;
-        if (!po.simReplayOk) {
-            fail("sim replay: " +
-                 (rep.diag.empty() ? std::string("final state differs")
-                                   : rep.diag));
-        }
-    }
-    return po;
-}
-
-TmStats
-NativePoolRequestExecutor::totalStats() const
-{
-    return backend_.totalStats();
-}
-
-std::uint64_t
-NativePoolRequestExecutor::checksum()
-{
-    quiesce();
-    return ds_.ops.checksum(backend_.thread(0));
-}
-
-std::uint64_t
-NativePoolRequestExecutor::size()
-{
-    quiesce();
-    return ds_.ops.size(backend_.thread(0));
-}
-
-bool
-NativePoolRequestExecutor::invariant()
-{
-    quiesce();
-    return ds_.ops.invariant(backend_.thread(0));
-}
-
-bool
-NativePoolRequestExecutor::gateQuiescent()
-{
-    quiesce();
-    return backend_.session().runtime().gate().quiescent();
 }
 
 } // namespace hastm

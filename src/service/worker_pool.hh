@@ -2,12 +2,11 @@
  * @file
  * Real multi-threaded serving for the transaction service.
  *
- * WorkerPool owns N long-lived host threads, each bound to one
- * NativeThread of a shared native session, pulling admitted requests
- * from a bounded dispatch channel and executing them CONCURRENTLY
- * against the shared structure — genuine cross-worker TL2 conflicts,
- * not the manufactured hot-word rival the 1-worker inline executor
- * injects. The discrete-event loop stays single-threaded and keeps
+ * WorkerPool owns N long-lived host threads pulling admitted requests
+ * from a bounded dispatch channel and executing them CONCURRENTLY —
+ * in NativeRequestExecutor each worker is bound to one NativeThread
+ * of a shared native session, so cross-worker TL2 conflicts are
+ * genuine. The discrete-event loop stays single-threaded and keeps
  * virtual time authoritative: it submits each admitted request into
  * the channel right away (so real concurrency tracks real load) and
  * collects the measured stat deltas only when the virtual queue head
@@ -21,14 +20,15 @@
  * loop's only blocking points — a full channel, an uncollected
  * ticket — always drain.
  *
- * Determinism contract (two-mode, DESIGN.md §12): with one worker the
- * service keeps using the inline executor and stays bit-identical;
- * with N > 1 the measured outcomes depend on real interleaving, so
- * results are fingerprint-exempt and validated instead by the replay
- * oracle over the recorded per-worker op logs (ordered by the
- * per-thread seq), optional sim-replay cross-validation through the
- * sequential simulated backend, the native protocol invariant sweep,
- * and the service's accounting identities.
+ * Determinism contract (two-mode, DESIGN.md §12): one worker pulls
+ * the channel FIFO, so requests run alone in admission order and the
+ * service stays bit-identical; with N > 1 the measured outcomes
+ * depend on real interleaving, so results are fingerprint-exempt and
+ * validated instead by the replay oracle over the recorded per-worker
+ * op logs (ordered by the per-thread seq), optional sim-replay
+ * cross-validation through the sequential simulated backend, the
+ * native protocol invariant sweep, and the service's accounting
+ * identities.
  */
 
 #ifndef HASTM_SERVICE_WORKER_POOL_HH
@@ -37,7 +37,6 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -77,6 +76,9 @@ class WorkerPool
     /** Drain the channel and join every worker (idempotent). */
     void stop();
 
+    /** stop() has run: no worker is left to submit to. */
+    bool stopped() const { return stopped_; }
+
     unsigned workers() const { return unsigned(stats_.size()); }
 
     /** Per-worker tallies; call stop() first. */
@@ -111,60 +113,6 @@ class WorkerPool
     std::uint64_t startNs_ = 0;
     std::uint64_t wallNs_ = 0;
     bool stopped_ = false;
-};
-
-/**
- * The pool-backed native request executor: one NativeThread per
- * worker on a shared NativeBackend, every request recorded for the
- * end-of-run replay validation. Use for workers >= 2; the 1-worker
- * case stays on NativeRequestExecutor (bit-identical, rival-driven).
- */
-class NativePoolRequestExecutor : public RequestExecutor
-{
-  public:
-    /**
-     * @param sim_replay  also cross-validate the recorded op log
-     *        through the sequential simulated backend in
-     *        poolOutcome(). Disable under TSan (fibers cannot be
-     *        instrumented) — the in-process replay oracle still runs.
-     */
-    NativePoolRequestExecutor(unsigned workers, const StmConfig &stm,
-                              bool sim_replay = true,
-                              std::size_t heap_bytes = 64ull << 20);
-
-    void populate(const ExecutorWorkload &w) override;
-    ExecOutcome execute(const ServiceRequest &req,
-                        unsigned rivals) override;
-    bool concurrent() const override { return true; }
-    std::uint64_t submit(const ServiceRequest &req) override;
-    ExecOutcome collect(std::uint64_t ticket) override;
-    PoolOutcome poolOutcome() override;
-    TmStats totalStats() const override;
-    std::uint64_t checksum() override;
-    std::uint64_t size() override;
-    bool invariant() override;
-    bool gateQuiescent() override;
-    BackendKind backendKind() const override
-    {
-        return BackendKind::Native;
-    }
-
-    NativeBackend &backend() { return backend_; }
-
-  private:
-    ExecOutcome runOne(unsigned worker, const ServiceRequest &req);
-    void quiesce();
-
-    const unsigned workers_;
-    const bool simReplay_;
-    NativeBackend backend_;
-    DsInstance ds_;
-    ExecutorWorkload workload_;
-    std::vector<OpRecord> popLog_;
-    /** Per-worker request logs; log w is written only by worker w
-     *  (the pool join orders them before the merge reads). */
-    std::vector<std::vector<OpRecord>> logs_;
-    std::unique_ptr<WorkerPool> pool_;
 };
 
 } // namespace hastm

@@ -501,53 +501,6 @@ TEST(NativeGate, EscalatorParksUntilInflightDrains)
     EXPECT_EQ(g.waitersForTest(), 0u);
 }
 
-TEST(NativeGate, WatchdogDisabledRivalGivesUpNeverTouchesTheGate)
-{
-    // Regression for the service executor's inline-rival contract
-    // (service/executor.cc): a watchdog-disabled thread stepped from
-    // inside another thread's open transaction must NEVER escalate —
-    // enter() would quiesce-wait on the suspended worker, a
-    // single-host-thread deadlock. The watchdog thresholds are set
-    // hair-trigger so an enabled watchdog WOULD escalate on the very
-    // first conflict, and the gate stall limit is set far below the
-    // test timeout so any gate contact fails fast with a diagnostic
-    // instead of hanging: the test completing at all is the proof.
-    NativeSessionConfig cfg = nativeCfg(2);
-    cfg.stm.watchdogConsecAborts = 1;
-    cfg.stm.watchdogRetriesPerCommit = 2;
-    cfg.stm.nativeGateStallMs = 50;
-    NativeBackend b(cfg);
-    NativeThread &rival = b.session().thread(1);
-    rival.setWatchdogEnabled(false);
-    Addr obj = 0;
-    b.run({[&](TmExec &t) { obj = t.txAlloc(16); }});
-    bool rivalCommitted = true;
-    b.run({[&](TmExec &worker) {
-        worker.atomic([&] {
-            worker.writeField(obj, 0, 7);  // own the record...
-            unsigned tries = 0;
-            rivalCommitted = rival.atomic([&] {
-                if (tries++ > 0)
-                    rival.userAbort();  // one real attempt, then out
-                rival.writeField(obj, 0, 99);
-            });
-        });
-    }});
-    EXPECT_FALSE(rivalCommitted);
-    TmStats rs = b.session().thread(1).stats();
-    EXPECT_EQ(rs.irrevocableEntries, 0u);  // never escalated
-    EXPECT_EQ(rs.userAborts, 1u);
-    EXPECT_GE(rs.aborts, 1u);
-    EXPECT_EQ(rs.commits, 0u);
-    EXPECT_TRUE(b.session().runtime().gate().quiescent());
-    EXPECT_EQ(b.session().thread(0).invariantReport(), "");
-    EXPECT_EQ(b.session().thread(1).invariantReport(), "");
-    // The worker's own commit survived the inline give-up.
-    b.run({[&](TmExec &t) {
-        t.atomic([&] { EXPECT_EQ(t.readField(obj, 0), 7u); });
-    }});
-}
-
 // ------------------------------------------- snapshot-protocol edges
 //
 // Deterministic rival commits: with a single body, run() executes

@@ -10,10 +10,11 @@
  * diagnosing the right line number); the admission policies as pure
  * decision functions; end-to-end service runs on both backends —
  * underload completes everything, overload sheds without collapse,
- * reruns are bit-identical — and the serial-gate overload regression:
- * a burst drives real watchdog escalations through the NativeGate,
- * and recovery drains them (gate quiescent, optimistic execution
- * resumes abort-free).
+ * deterministic executors rerun bit-identically, multi-worker native
+ * pools validate without a fingerprint — and the serial-gate overload
+ * regression: a burst drives real watchdog escalations through the
+ * NativeGate, and recovery drains them (gate quiescent, optimistic
+ * execution resumes abort-free).
  */
 
 #include <gtest/gtest.h>
@@ -27,7 +28,6 @@
 #include "harness/report.hh"
 #include "service/server.hh"
 #include "service/trace_source.hh"
-#include "service/worker_pool.hh"
 
 namespace hastm {
 namespace {
@@ -476,6 +476,7 @@ baseServiceCfg()
 TEST(Service, NativeUnderloadCompletesEverything)
 {
     ServiceConfig cfg = baseServiceCfg();
+    cfg.workers = 1;
     NativeRequestExecutor exec{StmConfig{}};
     ServiceResult r = runService(cfg, exec);
     EXPECT_GT(r.offered, 200u);
@@ -501,6 +502,7 @@ TEST(Service, NativeRerunIsBitIdentical)
 {
     ServiceConfig cfg = baseServiceCfg();
     cfg.arrival.zipfS = 1.1;
+    cfg.workers = 1;
     NativeRequestExecutor e1{StmConfig{}}, e2{StmConfig{}};
     ServiceResult a = runService(cfg, e1);
     ServiceResult b = runService(cfg, e2);
@@ -512,10 +514,13 @@ TEST(Service, NativeRerunIsBitIdentical)
 TEST(Service, NativeOverloadShedsInsteadOfCollapsing)
 {
     ServiceConfig cfg = baseServiceCfg();
-    cfg.arrival.ratePerSec = 8e5;  // ~4x the ~200k/s capacity
+    cfg.workers = 1;
+    cfg.arrival.ratePerSec = 2e5;  // ~4x the ~50k/s capacity
     cfg.admission.policy = AdmissionPolicy::DelayBackpressure;
     cfg.admission.queueCap = 64;
-    cfg.admission.sloP99Ns = 500'000;
+    // Below the ~1.3ms a full queue takes to drain, so the delay
+    // signal, not the queue bound, has to do the shedding.
+    cfg.admission.sloP99Ns = 800'000;
     NativeRequestExecutor exec{StmConfig{}};
     ServiceResult r = runService(cfg, exec);
     EXPECT_GT(r.shedPolicy + r.droppedFull, 0u);
@@ -540,6 +545,7 @@ TEST(Service, BurstSegmentsAlternateAndAccount)
     cfg.arrival.offNs = 4'000'000;
     cfg.arrival.onNs = 2'000'000;
     cfg.durationNs = 12'000'000;
+    cfg.workers = 1;
     NativeRequestExecutor exec{StmConfig{}};
     ServiceResult r = runService(cfg, exec);
     // Boundaries at 4, 6, 10 ms -> 4 segments off/on/off/on.
@@ -575,6 +581,7 @@ TEST(Service, TraceDrivenRunIsDeterministic)
     ServiceConfig cfg = baseServiceCfg();
     cfg.arrival.kind = ArrivalKind::Trace;
     cfg.trace = reqs;
+    cfg.workers = 1;
     NativeRequestExecutor e1{StmConfig{}}, e2{StmConfig{}};
     ServiceResult a = runService(cfg, e1);
     EXPECT_EQ(a.offered, 300u);
@@ -622,6 +629,7 @@ TEST(Service, JsonSerializationIsWellFormed)
 {
     ServiceConfig cfg = baseServiceCfg();
     cfg.durationNs = 2'000'000;
+    cfg.workers = 1;
     NativeRequestExecutor exec{StmConfig{}};
     ServiceResult r = runService(cfg, exec);
     Json jc = toJson(cfg);
@@ -643,20 +651,29 @@ TEST(Service, JsonSerializationIsWellFormed)
 
 TEST(Service, NativeGateOverloadEscalatesAndRecovers)
 {
+    // Four pool workers on a hot spot: every request updates one of
+    // two keys whose buckets share a cache line, so any two requests
+    // running at once conflict for real. The "starve" fault profile
+    // (schedule delays only, no forced aborts) keeps one victim per
+    // window losing those races, and stretches the protocol windows
+    // so the requests also overlap on a host with fewer cores than
+    // workers.
     ServiceConfig cfg = baseServiceCfg();
-    cfg.workload.conflictClasses = 1;  // every request collides
-    cfg.rivalCap = 3;
+    cfg.workload.initialSize = 2;
+    cfg.workload.keyRange = 2;
+    cfg.arrival.keyRange = 2;
+    cfg.arrival.updatePct = 100;
     cfg.arrival.kind = ArrivalKind::OnOffBurst;
-    cfg.arrival.ratePerSec = 1e3;      // calm: workers never overlap
-                                       // (Poisson triple-collisions
-                                       // included), so no rivalry
+    cfg.arrival.ratePerSec = 1e3;      // calm: the queue stays empty,
+                                       // so each request runs alone
     cfg.arrival.burstRatePerSec = 8e5; // burst: 4x capacity
     cfg.arrival.offNs = 8'000'000;
     cfg.arrival.onNs = 4'000'000;
     cfg.durationNs = 20'000'000;  // off [0,8), on [8,12), off [12,20]
     StmConfig stm;
     stm.watchdogConsecAborts = 2;  // hair-trigger watchdog
-    NativeRequestExecutor exec{stm};
+    NativeRequestExecutor exec{stm, /*sim_replay=*/true,
+                               nativeFaultProfile("starve")};
     ServiceResult r = runService(cfg, exec);
     ASSERT_EQ(r.segments.size(), 3u);
     EXPECT_FALSE(r.segments[0].burst);
@@ -666,8 +683,8 @@ TEST(Service, NativeGateOverloadEscalatesAndRecovers)
     // through the NativeGate...
     EXPECT_GT(r.segments[1].irrevocableEntries, 0u);
     EXPECT_GT(r.segments[1].aborts, 0u);
-    // ...the calm pre-burst phase had none (no collisions, no
-    // rivals, no watchdog)...
+    // ...the calm pre-burst phase had none (one request in flight at
+    // a time: no conflicts, no watchdog)...
     EXPECT_EQ(r.segments[0].irrevocableEntries, 0u);
     // ...and recovery drained them: far fewer than the burst, the
     // gate quiescent, state intact.
@@ -675,13 +692,13 @@ TEST(Service, NativeGateOverloadEscalatesAndRecovers)
               r.segments[1].irrevocableEntries);
     EXPECT_TRUE(r.gateQuiescent);
     EXPECT_TRUE(r.invariantOk);
-    // Direct quiescence probe: a zero-rival request after the run
-    // commits first try, no aborts, no new gate entries.
+    // Direct quiescence probe: a lone request after the run commits
+    // first try, no aborts, no new gate entries.
     TmStats before = exec.totalStats();
     ServiceRequest probe;
     probe.op = OpKind::Contains;
     probe.key = 1;
-    ExecOutcome o = exec.execute(probe, 0);
+    ExecOutcome o = exec.execute(probe);
     EXPECT_EQ(o.aborts, 0u);
     EXPECT_EQ(o.irrevocable, 0u);
     EXPECT_EQ(o.commits, 1u);
@@ -843,7 +860,7 @@ TEST(Service, PooledNativeRunValidatesWithoutFingerprint)
     // identity.
     ServiceConfig cfg = baseServiceCfg();
     cfg.workers = 2;
-    NativePoolRequestExecutor exec(2, StmConfig{});
+    NativeRequestExecutor exec{StmConfig{}};
     ServiceResult r = runService(cfg, exec);
     EXPECT_GT(r.offered, 0u);
     EXPECT_EQ(r.offered, r.admitted + r.droppedFull + r.shedPolicy);
@@ -891,38 +908,44 @@ TEST(Service, PooledNativeRunValidatesWithoutFingerprint)
 
 TEST(Service, SyncNativeRunKeepsTheBitIdentityContract)
 {
-    // The other determinism mode: the inline workers=1-path executor
-    // must not be exempted — and must still fingerprint identically
-    // across runs (the PR 9 contract, untouched by the pool).
+    // The other determinism mode: a one-worker pool runs requests
+    // FIFO in admission order, alone, so it must not be exempted —
+    // and must fingerprint identically across runs, while still
+    // passing the same validation as a multi-worker pool.
     ServiceConfig cfg = baseServiceCfg();
+    cfg.workers = 1;
     NativeRequestExecutor e1{StmConfig{}}, e2{StmConfig{}};
     ServiceResult a = runService(cfg, e1);
     EXPECT_FALSE(a.fingerprintExempt);
-    EXPECT_FALSE(a.pool.enabled);
+    ASSERT_TRUE(a.pool.enabled);
+    EXPECT_EQ(a.pool.workers, 1u);
+    EXPECT_TRUE(a.pool.oracleOk) << a.pool.diag;
+    EXPECT_TRUE(a.pool.simReplayOk) << a.pool.diag;
+    EXPECT_EQ(a.tm.aborts, 0u);
     ServiceResult b = runService(cfg, e2);
     EXPECT_EQ(a.fingerprint(), b.fingerprint());
     Json j = toJson(a);
     ASSERT_NE(j.find("fingerprintExempt"), nullptr);
     EXPECT_FALSE(j.find("fingerprintExempt")->asBool());
-    EXPECT_EQ(j.find("pool"), nullptr);
+    EXPECT_NE(j.find("pool"), nullptr);
 }
 
 TEST(Service, PooledExecutorInlinePathMatchesPopulateContract)
 {
     // Before the DES starts submitting, the pool executor must serve
-    // the calibration-style inline path: execute() on a fresh
-    // populate without any submit() works and reports sane deltas.
-    NativePoolRequestExecutor exec(2, StmConfig{});
+    // the calibration-style synchronous probe: execute() on a fresh
+    // populate works and reports sane deltas.
+    NativeRequestExecutor exec{StmConfig{}};
     ExecutorWorkload w;
     w.workload = WorkloadKind::HashTable;
     w.initialSize = 64;
     w.keyRange = 128;
     w.seed = 3;
-    exec.populate(w);
+    exec.populate(w, 2);
     ServiceRequest req;
     req.op = OpKind::Contains;
     req.key = 5;
-    ExecOutcome o = exec.execute(req, 0);
+    ExecOutcome o = exec.execute(req);
     EXPECT_GT(o.barriers, 0u);
     EXPECT_GT(exec.size(), 0u);
     EXPECT_TRUE(exec.invariant());
