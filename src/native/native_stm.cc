@@ -46,14 +46,84 @@ bloomBitsFor(unsigned bits)
 
 // ------------------------------------------------------- NativeGate
 
+NativeGate::Slot &
+NativeGate::registerSlot()
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    return slots_.emplace_back().v;
+}
+
+void
+NativeGate::parkUntilFree(const void *self)
+{
+    std::unique_lock<std::mutex> lk(mu_);
+    // Our flag is clear now: a holder quiescing on it may be asleep.
+    notifyIfWaiters();
+    waitOn(lk,
+           [&] {
+               const void *h = holder_.v.load(std::memory_order_relaxed);
+               return h == nullptr || h == self;
+           },
+           "arrive: token release");
+}
+
+void
+NativeGate::wakeHolder()
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    notifyIfWaiters();
+}
+
+void
+NativeGate::enter(const void *self)
+{
+    std::unique_lock<std::mutex> lk(mu_);
+    waitOn(lk,
+           [&] {
+               return holder_.v.load(std::memory_order_relaxed) == nullptr;
+           },
+           "enter: token release");
+    holder_.v.store(self, std::memory_order_seq_cst);
+    // The caller's own flag is clear (it escalates after rollback), so
+    // "no flag set" is "every other transaction has ended".
+    waitOn(lk, [&] { return inflightLocked() == 0; }, "enter: quiesce");
+}
+
+void
+NativeGate::exit()
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    HASTM_ASSERT(holder_.v.load(std::memory_order_relaxed) != nullptr);
+    holder_.v.store(nullptr, std::memory_order_seq_cst);
+    notifyIfWaiters();
+}
+
+bool
+NativeGate::quiescent()
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    return holder_.v.load(std::memory_order_relaxed) == nullptr &&
+           inflightLocked() == 0 && waiters_ == 0;
+}
+
+unsigned
+NativeGate::inflightLocked() const
+{
+    unsigned n = 0;
+    for (const PaddedSlot &s : slots_)
+        n += s.v.load(std::memory_order_seq_cst);
+    return n;
+}
+
 void
 NativeGate::stallPanic(const char *what) const
 {
-    // Called with mu_ held, so the accounting below is a consistent
-    // snapshot of the stuck state.
+    // Called with mu_ held, so the holder and waiter counts are a
+    // consistent snapshot of the stuck state (the flags are a scan).
     panic("NativeGate: stalled > %u ms waiting on %s "
           "(holder=%p inflight=%u waiters=%u)",
-          stallMs_, what, holder_, inflight_, waiters_);
+          stallMs_, what, holder_.v.load(std::memory_order_relaxed),
+          inflightLocked(), waiters_);
 }
 
 // ------------------------------------------------ NativeRecordTable
@@ -137,6 +207,7 @@ NativeThread::NativeThread(NativeRuntime &rt, unsigned id)
 {
     HASTM_ASSERT(!txrec::isVersion(token_) && token_ != 0);
     epoch_ = &rt_.registerEpochSlot();
+    gateSlot_ = &rt_.gate().registerSlot();
     cursors_ = rt_.heap().allocZeroed(64, 64);
     readSet_ = std::make_unique<TxLog>(rt_.heap(), cursors_ + 0, 2);
     writeSet_ = std::make_unique<TxLog>(rt_.heap(), cursors_ + 8, 2);
@@ -226,6 +297,8 @@ NativeThread::invariantReport() const
     if (epoch_->load(std::memory_order_relaxed) !=
         NativeRuntime::kIdleEpoch)
         bad("reclamation epoch still published");
+    if (gateSlot_->load(std::memory_order_relaxed))
+        bad("serial-gate arrival flag still set");
     if (snapshotMode_) {
         // No committed version may encode a time past the clock:
         // tick() claims the time before any release installs it, so a
@@ -310,7 +383,7 @@ NativeThread::begin()
 {
     HASTM_ASSERT(depth_ == 0);
     faultHook(NativeFaultPoint::GateArrive);
-    rt_.gate().arrive(this);
+    rt_.gate().arrive(this, *gateSlot_);
     readSet_->reset();
     writeSet_->reset();
     undoLog_->reset();
@@ -414,7 +487,7 @@ NativeThread::commit()
     // without bumping the covering records — its reads would keep
     // validating against uncommitted garbage.
     deferFrees(txFrees_);
-    rt_.gate().depart();
+    rt_.gate().depart(*gateSlot_);
     return true;
 }
 
@@ -457,7 +530,7 @@ NativeThread::rollback()
     // validation — deferring reuse keeps that dereference pointing at
     // intact, in-bounds words.
     deferFrees(txAllocs_);
-    rt_.gate().depart();
+    rt_.gate().depart(*gateSlot_);
 }
 
 void

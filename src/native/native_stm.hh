@@ -12,10 +12,10 @@
  *  - the read set, write set, and undo log are TxLog instances over
  *    the NativeHeap LogMem, so the append/rollback discipline is the
  *    code path the simulator times;
- *  - the serial-irrevocable gate is the PR 3 SerialGate protocol
- *    re-expressed over a host mutex/condvar (the advertise-then-check
- *    arrival is the mutex's atomicity instead of the Dekker
- *    store-then-load);
+ *  - the serial-irrevocable gate is the SerialGate protocol over
+ *    std::atomic: per-thread arrival flags and a holder token with
+ *    the Dekker store-then-load, so a begin writes only its own
+ *    cache line; a mutex/condvar serves only the parks;
  *  - commit stamps come from one global commit clock, which gives the
  *    replay oracle a total order (see "Commit clock" below).
  *
@@ -145,17 +145,45 @@ inline std::uint64_t readerStamp(std::uint64_t s) { return 2 * s + 1; }
 } // namespace nativeclock
 
 /**
- * Serial-irrevocable gate over a host mutex/condvar. Same protocol
- * as stm/irrevocable.hh: arriving transactions advertise themselves
- * (inflight count) and park while the token is held; an escalating
- * thread takes the token and quiesces (waits for inflight == 0).
- * The mutex makes advertise-and-check atomic, so the simulator's
- * store-then-load arrival ordering is implicit.
+ * Serial-irrevocable gate for host threads: the stm/irrevocable.hh
+ * SerialGate protocol over std::atomic. A mutex/condvar is taken only
+ * to park or to wake a parked thread.
  *
- * Wakeups are counted: departures and releases broadcast only when
- * someone is actually parked (waiters_ tracked under the mutex), so
- * the uncontended fast path — every transaction begin/end when no
- * thread is escalating — never pays a condvar broadcast syscall.
+ * State: one padded arrival flag per NativeThread (registerSlot(),
+ * once, at construction) and a holder token alone on its cache line.
+ * A transaction begin stores its own flag and loads the token; its
+ * end clears the flag and loads the token. While no thread escalates
+ * that is the whole cost: no shared line is written, so concurrent
+ * transactions never serialize on the gate.
+ *
+ * Mutual exclusion (the simulator's Dekker store-then-load). arrive()
+ * stores its flag, then loads the token; enter() stores the token,
+ * then scans every flag; all four accesses are seq_cst. In the single
+ * total order one of the two stores comes first: either the arrival
+ * sees the token and retreats (flag cleared, then parked), or the
+ * escalator's scan sees the flag and waits for that transaction to
+ * end. A holder whose scan found every flag clear runs alone: every
+ * later arrival sees its token.
+ *
+ * Deadlock freedom. Escalation follows rollback, so the escalator's
+ * own flag is clear; a parked arrival has cleared its flag; and a
+ * transaction that slipped past the token check finishes one bounded
+ * attempt, clearing its flag on commit or rollback.
+ *
+ * No lost wakeup. A parked thread checks its predicate and sleeps
+ * under the mutex, so a notify issued under the mutex finds it either
+ * not yet checked (it sees the new state) or asleep. The token
+ * changes only under the mutex, and exit() notifies. The flags change
+ * outside it, so a thread that clears its flag while a holder may be
+ * quiescing either
+ *  - takes the mutex and notifies: a retreating arrival always does,
+ *    and depart() does when its token load sees a holder; or
+ *  - saw no token in depart(): its clear then precedes the holder's
+ *    token store in the total order, so the holder's scan sees it.
+ *
+ * Wakeups are counted: notifies happen only when someone is parked
+ * (waiters_, under the mutex), and depart() takes the mutex only
+ * while the token is held.
  *
  * Waits are bounded (StmConfig::nativeGateStallMs, via
  * setStallLimitMs): a parked thread that outlives the limit fails
@@ -167,46 +195,47 @@ inline std::uint64_t readerStamp(std::uint64_t s) { return 2 * s + 1; }
 class NativeGate
 {
   public:
-    /** Transaction begin: park while another thread holds the token. */
+    /** One thread's arrival flag: set while its transaction runs. */
+    using Slot = std::atomic<bool>;
+
+    /** Register one thread's flag. The address is stable, and
+     *  registering is safe at any time: slots_ is walked only under
+     *  the mutex, never on the fast path. */
+    Slot &registerSlot();
+
+    /**
+     * Transaction begin: advertise @p slot, then park while a thread
+     * other than @p self holds the token. Returns with the flag set.
+     */
     void
-    arrive(const void *self)
+    arrive(const void *self, Slot &slot)
     {
-        std::unique_lock<std::mutex> lk(mu_);
-        waitOn(lk, [&] { return holder_ == nullptr || holder_ == self; },
-               "arrive: token release");
-        ++inflight_;
+        for (;;) {
+            slot.store(true, std::memory_order_seq_cst);
+            const void *h = holder_.v.load(std::memory_order_seq_cst);
+            if (h == nullptr || h == self)
+                return;
+            slot.store(false, std::memory_order_seq_cst);
+            parkUntilFree(self);
+        }
     }
 
-    /** Transaction end (commit or rollback). */
+    /** Transaction end (commit or rollback): clear @p slot. */
     void
-    depart()
+    depart(Slot &slot)
     {
-        std::lock_guard<std::mutex> lk(mu_);
-        HASTM_ASSERT(inflight_ > 0);
-        --inflight_;
-        notifyIfWaiters();
+        HASTM_ASSERT(slot.load(std::memory_order_relaxed));
+        slot.store(false, std::memory_order_seq_cst);
+        if (holder_.v.load(std::memory_order_seq_cst) != nullptr)
+            wakeHolder();
     }
 
-    /** Acquire the token and quiesce; call outside a transaction. */
-    void
-    enter(const void *self)
-    {
-        std::unique_lock<std::mutex> lk(mu_);
-        waitOn(lk, [&] { return holder_ == nullptr; },
-               "enter: token release");
-        holder_ = self;
-        waitOn(lk, [&] { return inflight_ == 0; }, "enter: quiesce");
-    }
+    /** Acquire the token and quiesce; call outside a transaction
+     *  (the caller's own flag is clear). */
+    void enter(const void *self);
 
     /** Release the token. */
-    void
-    exit()
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        HASTM_ASSERT(holder_ != nullptr);
-        holder_ = nullptr;
-        notifyIfWaiters();
-    }
+    void exit();
 
     /** Bound every future park to @p ms milliseconds (0 = untimed). */
     void
@@ -227,16 +256,22 @@ class NativeGate
     /**
      * Invariant probe for the torture harness: with every session
      * thread joined, the gate must have unwound completely — no
-     * holder, no inflight transactions, no parked waiters.
+     * holder, no advertised flag, no parked waiters.
      */
-    bool
-    quiescent()
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        return holder_ == nullptr && inflight_ == 0 && waiters_ == 0;
-    }
+    bool quiescent();
 
   private:
+    /** arrive() slow path: wake a quiescing holder (our flag is now
+     *  clear), then park until the token is free or ours. */
+    void parkUntilFree(const void *self);
+
+    /** depart() slow path: the token is held, so a quiescing holder
+     *  may be waiting for the flag just cleared. */
+    void wakeHolder();
+
+    /** Advertised flags (mu_ held). */
+    unsigned inflightLocked() const;
+
     template <typename Pred>
     void
     waitOn(std::unique_lock<std::mutex> &lk, Pred pred, const char *what)
@@ -263,10 +298,24 @@ class NativeGate
             cv_.notify_all();
     }
 
+    /** The holder token, alone on its cache line: every begin and
+     *  end loads it, and only enter()/exit() write it. */
+    struct alignas(64) Token
+    {
+        std::atomic<const void *> v{nullptr};
+    };
+    Token holder_;
+
+    /** One arrival flag per cache line, written only by its owner. */
+    struct alignas(64) PaddedSlot
+    {
+        Slot v{false};
+    };
+
+    /** Guards the slow paths, slots_ (structure) and the counters. */
     std::mutex mu_;
     std::condition_variable cv_;
-    const void *holder_ = nullptr;
-    unsigned inflight_ = 0;
+    std::deque<PaddedSlot> slots_;  //!< stable addresses (deque)
     unsigned waiters_ = 0;
     unsigned stallMs_ = 20000;  //!< StmConfig::nativeGateStallMs
 };
@@ -664,6 +713,9 @@ class alignas(64) NativeThread : public TmExec
 
     /** This thread's published reclamation epoch (runtime-owned). */
     std::atomic<std::uint64_t> *epoch_ = nullptr;
+
+    /** This thread's serial-gate arrival flag (gate-owned). */
+    NativeGate::Slot *gateSlot_ = nullptr;
 
     /** Blocks this thread freed, awaiting a safe epoch: (time,
      *  block), owner-accessed only — rivals touch the epoch slots,

@@ -37,6 +37,16 @@ struct Queued
 {
     ServiceRequest req;
     std::uint64_t ticket = 0;
+    std::size_t segment = 0;  //!< arrival phase (index into segments)
+};
+
+/** TM counters of the requests that arrived in one phase. */
+struct SegmentTm
+{
+    std::uint64_t commits = 0;
+    std::uint64_t aborts = 0;
+    std::uint64_t irrevocableEntries = 0;
+    std::uint64_t serialDispatch = 0;
 };
 
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
@@ -81,10 +91,15 @@ class ServiceRun
 
     std::vector<Worker> workers_;
     std::vector<std::uint64_t> wBusy_, wDone_;  //!< virtual occupancy
-    /** TM counters accumulated from collected outcomes: segment
-     *  deltas come from here (reading live pool-thread stats mid-run
-     *  would race). */
-    TmStats acc_;
+    /**
+     * TM counters per arrival phase, summed from collected outcomes
+     * (reading live pool-thread stats mid-run would race). A request
+     * counts in the phase it arrived in, not the one it is virtually
+     * dispatched in: a burst's backlog is burst work (the native pool
+     * runs it from admission), so it must not land in the recovery
+     * phase. Copied into the segments once every request is in.
+     */
+    std::vector<SegmentTm> segTm_;
     std::deque<Queued> queue_;
     std::priority_queue<Completion, std::vector<Completion>,
                         std::greater<Completion>>
@@ -106,7 +121,6 @@ class ServiceRun
     std::uint64_t segStart_ = 0;
     bool segBurst_ = false;
     std::uint64_t segOffered_ = 0, segCompleted_ = 0, segShed_ = 0;
-    TmStats segBase_;
 
     std::unique_ptr<TraceSink> sink_;
 };
@@ -162,24 +176,14 @@ ServiceRun::closeSegment(std::uint64_t end_ns)
     s.offered = segOffered_;
     s.completed = segCompleted_;
     s.shed = segShed_;
-    s.commits = acc_.commits - segBase_.commits;
-    s.aborts = acc_.aborts - segBase_.aborts;
-    s.irrevocableEntries =
-        acc_.irrevocableEntries - segBase_.irrevocableEntries;
-    s.serialDispatch =
-        acc_.adaptiveDispatch[unsigned(AdaptiveMode::Serial)] -
-        segBase_.adaptiveDispatch[unsigned(AdaptiveMode::Serial)];
     r_.segments.push_back(s);
     if (sink_) {
         sink_->instant(1, end_ns, "phase",
-                       Json::object()
-                           .set("burst", segBurst_)
-                           .set("irrevocable", s.irrevocableEntries));
+                       Json::object().set("burst", segBurst_));
     }
     segStart_ = end_ns;
     segBurst_ = !segBurst_;
     segOffered_ = segCompleted_ = segShed_ = 0;
-    segBase_ = acc_;
 }
 
 void
@@ -245,11 +249,13 @@ ServiceRun::dispatchFree(std::uint64_t now)
         ExecOutcome o =
             exec_.collect(q.ticket, std::min(colliding, cfg_.rivalCap));
         r_.rivalsInjected += o.rivals;
-        acc_.commits += o.commits;
-        acc_.aborts += o.aborts;
-        acc_.irrevocableEntries += o.irrevocable;
-        acc_.adaptiveDispatch[unsigned(AdaptiveMode::Serial)] +=
-            o.serialDispatch;
+        if (q.segment >= segTm_.size())
+            segTm_.resize(q.segment + 1);
+        SegmentTm &tm = segTm_[q.segment];
+        tm.commits += o.commits;
+        tm.aborts += o.aborts;
+        tm.irrevocableEntries += o.irrevocable;
+        tm.serialDispatch += o.serialDispatch;
         if (o.irrevocable > 0 && sink_) {
             sink_->instant(0, now, "serial-escalation",
                            Json::object().set("key", req.key));
@@ -328,7 +334,8 @@ ServiceRun::run()
                 // Real execution may start now: the executor runs the
                 // request concurrently with everything else admitted
                 // but not yet virtually dispatched.
-                queue_.push_back({pending, exec_.submit(pending)});
+                queue_.push_back({pending, exec_.submit(pending),
+                                  r_.segments.size()});
                 r_.maxQueueDepth = std::max(
                     r_.maxQueueDepth, unsigned(queue_.size()));
                 dispatchFree(tA);
@@ -359,6 +366,13 @@ ServiceRun::run()
     if (winHist_.count() > 0 || winShed_ > 0)
         closeWindow();  // final partial window
     closeSegment(r_.makespanNs);
+    for (std::size_t i = 0; i < segTm_.size(); ++i) {
+        ServiceSegment &s = r_.segments[i];
+        s.commits = segTm_[i].commits;
+        s.aborts = segTm_[i].aborts;
+        s.irrevocableEntries = segTm_[i].irrevocableEntries;
+        s.serialDispatch = segTm_[i].serialDispatch;
+    }
 
     r_.p50Ns = r_.latency.p50();
     r_.p99Ns = r_.latency.p99();

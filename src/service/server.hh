@@ -87,7 +87,12 @@ struct ServiceWindow
     bool sloViolated = false;
 };
 
-/** Stats delta over one arrival phase (burst on/off segment). */
+/**
+ * One arrival phase (burst on/off segment). offered, shed and the TM
+ * counters belong to the requests that arrived in the phase, even
+ * when they are dispatched after it ends; completed counts the
+ * completions that fall inside it.
+ */
 struct ServiceSegment
 {
     bool burst = false;

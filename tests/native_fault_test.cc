@@ -278,10 +278,11 @@ TEST(NativeGateStall, TimedWaitFailsFastWithDiagnostic)
         {
             NativeGate g;
             g.setStallLimitMs(50);
+            NativeGate::Slot &slot = g.registerSlot();
             int holder = 0;
             int other = 0;
             g.enter(&holder);
-            g.arrive(&other);
+            g.arrive(&other, slot);
         },
         "NativeGate: stalled > 50 ms waiting on arrive: token release");
 }

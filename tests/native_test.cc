@@ -461,14 +461,15 @@ TEST(NativeGate, WakeupsFireOnlyWhenSomeoneIsParked)
     // when nobody waits. Deterministic: the main thread polls the
     // waiter count, so the helper is provably parked before exit().
     NativeGate g;
+    NativeGate::Slot &slot = g.registerSlot();
     int tok = 0, other = 0;
     EXPECT_EQ(g.waitersForTest(), 0u);
     g.enter(&tok);
     std::atomic<bool> arrived{false};
     std::thread th([&] {
-        g.arrive(&other);
+        g.arrive(&other, slot);
         arrived.store(true);
-        g.depart();
+        g.depart(slot);
     });
     while (g.waitersForTest() == 0)
         std::this_thread::yield();
@@ -484,8 +485,9 @@ TEST(NativeGate, EscalatorParksUntilInflightDrains)
     // The other wakeup edge: depart() must broadcast when an
     // escalating thread is parked in quiesce.
     NativeGate g;
+    NativeGate::Slot &slot = g.registerSlot();
     int tok = 0, other = 0;
-    g.arrive(&other);
+    g.arrive(&other, slot);
     std::atomic<bool> entered{false};
     std::thread th([&] {
         g.enter(&tok);
@@ -495,10 +497,97 @@ TEST(NativeGate, EscalatorParksUntilInflightDrains)
     while (g.waitersForTest() == 0)
         std::this_thread::yield();
     EXPECT_FALSE(entered.load());
-    g.depart();
+    auto t0 = std::chrono::steady_clock::now();
+    g.depart(slot);
     th.join();
     EXPECT_TRUE(entered.load());
     EXPECT_EQ(g.waitersForTest(), 0u);
+    // Without the wakeup the holder sleeps until its stall limit
+    // (20 s by default) expires and finds the flag clear.
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(10));
+}
+
+TEST(NativeGate, QuiescentIsFalseWhileAnyFlagIsAdvertised)
+{
+    NativeGate g;
+    NativeGate::Slot &a = g.registerSlot();
+    NativeGate::Slot &b = g.registerSlot();
+    int ta = 0, tb = 0;
+    EXPECT_TRUE(g.quiescent());
+    g.arrive(&tb, b);
+    EXPECT_FALSE(g.quiescent());
+    g.arrive(&ta, a);
+    g.depart(b);
+    EXPECT_FALSE(g.quiescent());
+    g.depart(a);
+    EXPECT_TRUE(g.quiescent());
+    // A holder's own arrival passes its token and is still counted.
+    g.enter(&ta);
+    EXPECT_FALSE(g.quiescent());
+    g.arrive(&ta, a);
+    g.depart(a);
+    g.exit();
+    EXPECT_TRUE(g.quiescent());
+}
+
+TEST(NativeGate, HolderRunsAloneUnderConcurrentArrivals)
+{
+    // Mutual exclusion and lost-wakeup stress of the lock-free
+    // arrival path: three threads loop arrive/depart around an
+    // "inside" counter while a fourth loops enter/exit and checks the
+    // counter stays 0 while it holds the token. serialWrites is a
+    // plain int the holder writes and every arrival reads, so under
+    // TSan the gate must also order those accesses. Each side runs a
+    // minimum number of rounds, and the holder keeps cycling, holding
+    // the token most of the time, until every arrival has finished:
+    // an arrival that misses its wakeup wakes at the stall limit to a
+    // held token and panics.
+    constexpr unsigned kRounds = 2000;
+    NativeGate g;
+    g.setStallLimitMs(10000);
+    std::atomic<unsigned> inside{0};
+    std::atomic<bool> holderWarm{false};
+    std::atomic<unsigned> finished{0};
+    unsigned serialWrites = 0;
+    std::atomic<unsigned> violations{0};
+    std::vector<std::thread> arrivals;
+    for (unsigned i = 0; i < 3; ++i) {
+        NativeGate::Slot &slot = g.registerSlot();
+        arrivals.emplace_back([&, &slot = slot] {
+            unsigned seen = 0;
+            for (unsigned n = 0; n < kRounds || !holderWarm.load(); ++n) {
+                g.arrive(&slot, slot);
+                inside.fetch_add(1);
+                if (serialWrites < seen)
+                    violations.fetch_add(1);
+                seen = serialWrites;
+                inside.fetch_sub(1);
+                g.depart(slot);
+            }
+            finished.fetch_add(1);
+        });
+    }
+    int holder = 0;
+    unsigned rounds = 0;
+    while (rounds < kRounds || finished.load() < arrivals.size()) {
+        g.enter(&holder);
+        for (unsigned k = 0; k < 8; ++k) {
+            if (inside.load() != 0)
+                violations.fetch_add(1);
+            ++serialWrites;
+            std::this_thread::yield();
+        }
+        g.exit();
+        if (++rounds == kRounds)
+            holderWarm.store(true);
+        std::this_thread::yield();
+    }
+    for (std::thread &th : arrivals)
+        th.join();
+    EXPECT_EQ(violations.load(), 0u);
+    EXPECT_EQ(serialWrites, 8 * rounds);
+    EXPECT_TRUE(g.quiescent());
 }
 
 // ------------------------------------------- snapshot-protocol edges
