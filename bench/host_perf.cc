@@ -10,20 +10,21 @@
  * the pool cannot win and the speedup honestly reports ~1.0; the
  * committed baseline records `hostCores` so readers can tell.
  *
- * --backend native: the protocol scaling sweep — hash-table runs on
- * real host threads (1/2/4/8) x three mixes (read-heavy, write-heavy,
- * disjoint) x both native protocols (TL2-style snapshot clock vs the
- * PR 6 McRT shape), best-of-2 wall-clock ops/sec per cell with a
- * self-checked acceptance bar: snapshot >= 1.5x McRT on the
- * read-heavy 4-thread cell and >= parity everywhere else (failing
- * cells are re-measured before the verdict; bars above the host's
- * core count are reported but not enforced). Both protocols are then
- * cross-validated by replaying recorded native op logs through the
- * simulator (three seeds per workload; any divergence fails the run).
- * --ci trims to 1/2/4 threads and one seed. Emits
- * BENCH_host_native.json (schema v7) under $HASTM_BENCH_JSON.
+ * --backend native: the scaling sweep — hash-table runs on real host
+ * threads (1/2/4/8, each pinned to its own CPU) x three mixes
+ * (read-heavy, write-heavy, disjoint), best-of-2 wall-clock ops/sec
+ * per cell, with self-checked scaling bars against each mix's
+ * 1-thread cell: read-heavy at 4 threads >= 1.5x and disjoint at 4
+ * threads >= 1.0x (failing cells are re-measured before the
+ * verdict; bars above the host's core count are reported but not
+ * enforced). Recorded native op logs are
+ * then cross-validated by replaying them through the simulator
+ * (three seeds per workload; any divergence fails the run). --ci
+ * trims to 1/2/4 threads and one seed. Emits BENCH_host_native.json
+ * under $HASTM_BENCH_JSON.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <iostream>
 #include <sstream>
@@ -118,10 +119,11 @@ struct MixSpec
     const char *name;
     unsigned updatePct;
     bool disjoint;
+    double bar4;  //!< required 4-thread speedup over 1 thread (0: none)
 };
 
 NativeExperimentConfig
-scalingCellConfig(const MixSpec &mix, unsigned threads, bool snapshot)
+scalingCellConfig(const MixSpec &mix, unsigned threads)
 {
     NativeExperimentConfig cfg;
     cfg.workload = WorkloadKind::HashTable;
@@ -132,8 +134,16 @@ scalingCellConfig(const MixSpec &mix, unsigned threads, bool snapshot)
     cfg.initialSize = 4096;
     cfg.keyRange = 16384;
     cfg.hashBuckets = 1024;
-    cfg.stm.nativeSnapshotClock = snapshot;
     return cfg;
+}
+
+/** Position of the @p threads cell in @p counts (it must be there). */
+std::size_t
+cellIndex(const std::vector<unsigned> &counts, unsigned threads)
+{
+    auto it = std::find(counts.begin(), counts.end(), threads);
+    HASTM_ASSERT(it != counts.end());
+    return std::size_t(it - counts.begin());
 }
 
 /** Run @p cfg once; keep whichever of @p best / the new run is faster. */
@@ -149,13 +159,13 @@ improveBest(const NativeExperimentConfig &cfg, NativeExperimentResult &best,
 }
 
 /**
- * --backend native: old-vs-new protocol scaling sweep plus the
- * sim-vs-native cross-validation of both protocols. Exits non-zero if
- * any run breaks an invariant, any recorded log fails to replay
- * through the simulator, or the sweep misses its self-checked
- * acceptance bar (snapshot >= 1.5x McRT on read-heavy 4-thread,
- * >= parity on every other cell). --ci trims the sweep to 1/2/4
- * threads and one cross-validation seed for the release job.
+ * --backend native: the scaling sweep plus the sim-vs-native
+ * cross-validation. Exits non-zero if any run breaks an invariant,
+ * any recorded log fails to replay through the simulator, or the
+ * sweep misses a self-checked scaling bar (read-heavy 4-thread
+ * >= 1.5x its 1-thread cell, disjoint 4-thread >= 1.0x). --ci trims
+ * the sweep to 1/2/4 threads and one cross-validation seed for the
+ * release job.
  */
 int
 runNativeMode(int argc, char **argv)
@@ -169,76 +179,77 @@ runNativeMode(int argc, char **argv)
     unsigned host_cores = std::thread::hardware_concurrency();
 
     const MixSpec mixes[] = {
-        {"read-heavy", 10, false},
-        {"write-heavy", 80, false},
-        {"disjoint", 20, true},
+        {"read-heavy", 10, false, 1.5},
+        {"write-heavy", 80, false, 0.0},
+        {"disjoint", 20, true, 1.0},
     };
     std::vector<unsigned> thread_counts = {1, 2, 4};
     if (!ci)
         thread_counts.push_back(8);
 
-    std::cout << "Host-perf (native backend): snapshot-clock vs McRT "
-              << "protocol scaling sweep (host cores: " << host_cores
-              << (ci ? ", reduced CI sweep" : "") << ")\n\n";
+    std::cout << "Host-perf (native backend): scaling sweep (host cores: "
+              << host_cores << (ci ? ", reduced CI sweep" : "")
+              << ")\n\n";
 
     bool ok = true;
     bool bars_ok = true;
     Json cells = Json::array();
-    Table table({"mix", "threads", "mcrt_mops", "snap_mops", "ratio",
-                 "bar", "verdict"});
+    Table table({"mix", "threads", "mops", "speedup", "bar", "verdict"});
     for (const MixSpec &mix : mixes) {
-        for (unsigned th : thread_counts) {
-            NativeExperimentConfig oldCfg =
-                scalingCellConfig(mix, th, false);
-            NativeExperimentConfig newCfg =
-                scalingCellConfig(mix, th, true);
-            NativeExperimentResult oldBest, newBest;
-            // Best-of-2 per protocol: wall-clock throughput is noisy
-            // and the bar below compares two maxima, not two samples.
-            for (int rep = 0; rep < 2; ++rep) {
-                improveBest(oldCfg, oldBest, ok);
-                improveBest(newCfg, newBest, ok);
-            }
-            bool read_heavy_4t =
-                std::string(mix.name) == "read-heavy" && th == 4;
-            double bar = read_heavy_4t ? 1.5 : 1.0;
-            // The 1.5x claim needs real parallelism to show up.
-            bool bar_applies = host_cores == 0 || th <= host_cores;
-            double ratio = newBest.opsPerSec / oldBest.opsPerSec;
-            // Re-measure a failing cell (up to two extra reps per
-            // protocol) before declaring a regression: one descheduled
-            // rep must not fail the sweep.
-            for (int extra = 0; extra < 2 && bar_applies && ratio < bar;
-                 ++extra) {
-                improveBest(oldCfg, oldBest, ok);
-                improveBest(newCfg, newBest, ok);
-                ratio = newBest.opsPerSec / oldBest.opsPerSec;
-            }
-            bool pass = !bar_applies || ratio >= bar;
-            if (!pass) {
-                bars_ok = false;
-                warn("host_perf: %s x%u: snapshot/mcrt ratio %.2f "
-                     "missed the %.1fx bar", mix.name, th, ratio, bar);
-            }
-            std::string cell = std::string(mix.name) + "/t" +
-                               std::to_string(th);
-            report.add("scale/" + cell + "/mcrt", oldCfg, oldBest);
-            report.add("scale/" + cell + "/snapshot", newCfg, newBest);
+        // Best-of-2 per cell: wall-clock throughput is noisy and the
+        // bar below compares two maxima, not two samples.
+        std::vector<NativeExperimentConfig> cfgs;
+        std::vector<NativeExperimentResult> best(thread_counts.size());
+        for (std::size_t i = 0; i < thread_counts.size(); ++i) {
+            cfgs.push_back(scalingCellConfig(mix, thread_counts[i]));
+            for (int rep = 0; rep < 2; ++rep)
+                improveBest(cfgs[i], best[i], ok);
+        }
+        // The mix's bar: its 4-thread cell against the 1-thread cell
+        // every speedup is taken against. Scaling needs real
+        // parallelism to show up, so the bar applies only when 4
+        // threads fit the host.
+        const std::size_t i1 = cellIndex(thread_counts, 1);
+        const std::size_t i4 = cellIndex(thread_counts, 4);
+        auto speedup = [&](std::size_t i) {
+            return best[i].opsPerSec / best[i1].opsPerSec;
+        };
+        bool barred = mix.bar4 > 0.0;
+        bool bar_applies = barred && (host_cores == 0 || host_cores >= 4);
+        // Re-measure a failing cell and its 1-thread reference (up to
+        // two extra reps each) before declaring a regression: one
+        // descheduled rep must not fail the sweep.
+        for (int extra = 0;
+             extra < 2 && bar_applies && speedup(i4) < mix.bar4; ++extra) {
+            improveBest(cfgs[i1], best[i1], ok);
+            improveBest(cfgs[i4], best[i4], ok);
+        }
+        bool pass = !bar_applies || speedup(i4) >= mix.bar4;
+        if (!pass) {
+            bars_ok = false;
+            warn("host_perf: %s x4: speedup %.2f over 1 thread missed "
+                 "the %.1fx bar", mix.name, speedup(i4), mix.bar4);
+        }
+        for (std::size_t i = 0; i < thread_counts.size(); ++i) {
+            unsigned th = thread_counts[i];
+            bool has_bar = barred && i == i4;
+            report.add(std::string("scale/") + mix.name + "/t" +
+                           std::to_string(th),
+                       cfgs[i], best[i]);
             Json c = Json::object();
             c.set("mix", mix.name)
                 .set("threads", std::uint64_t(th))
-                .set("mcrtOpsPerSec", oldBest.opsPerSec)
-                .set("snapshotOpsPerSec", newBest.opsPerSec)
-                .set("ratio", ratio)
-                .set("bar", bar)
-                .set("barApplies", bar_applies)
-                .set("pass", pass);
+                .set("opsPerSec", best[i].opsPerSec)
+                .set("speedup", speedup(i))
+                .set("bar", has_bar ? mix.bar4 : 0.0)
+                .set("barApplies", has_bar && bar_applies)
+                .set("pass", !has_bar || pass);
             cells.push(std::move(c));
             table.addRow({mix.name, fmt(std::uint64_t(th)),
-                          fmt(oldBest.opsPerSec * 1e-6),
-                          fmt(newBest.opsPerSec * 1e-6), fmt(ratio),
-                          bar_applies ? fmt(bar) : "n/a",
-                          pass ? "ok" : "MISSED"});
+                          fmt(best[i].opsPerSec * 1e-6), fmt(speedup(i)),
+                          !has_bar ? "-" : bar_applies ? fmt(mix.bar4)
+                                                       : "n/a",
+                          !has_bar || pass ? "ok" : "MISSED"});
         }
     }
     table.print(std::cout);
@@ -290,10 +301,9 @@ runNativeMode(int argc, char **argv)
         report.addCustom("perOpLatency", std::move(lat));
     }
 
-    // ---- cross-validation: native logs must replay through the sim,
-    // under both protocols ----
+    // ---- cross-validation: native logs must replay through the sim ----
     std::cout << "\nCross-validation (native op logs replayed through "
-                 "the simulated backend, both protocols):\n";
+                 "the simulated backend):\n";
     const WorkloadKind workloads[] = {WorkloadKind::Bst,
                                       WorkloadKind::Btree,
                                       WorkloadKind::HashTable};
@@ -301,46 +311,39 @@ runNativeMode(int argc, char **argv)
     unsigned passed = 0, total = 0;
     for (WorkloadKind w : workloads) {
         for (std::uint64_t seed = 1; seed <= max_seed; ++seed) {
-            for (bool snapshot : {false, true}) {
-                NativeExperimentConfig cfg;
-                cfg.workload = w;
-                cfg.threads = 4;
-                cfg.totalOps = 2000;
-                cfg.updatePct = 30;
-                cfg.initialSize = 512;
-                cfg.keyRange = 2048;
-                cfg.hashBuckets = 128;
-                cfg.seed = seed;
-                cfg.stm.nativeSnapshotClock = snapshot;
-                CrossCheckOutcome v = crossValidateNative(cfg);
-                ++total;
-                if (v.ok) {
-                    ++passed;
-                } else {
-                    ok = false;
-                    warn("host_perf: cross-validation FAILED: %s",
-                         v.diag.c_str());
-                }
-                const char *proto = snapshot ? "snapshot" : "mcrt";
-                Json data = Json::object();
-                data.set("workload", workloadName(w))
-                    .set("seed", seed)
-                    .set("protocol", proto)
-                    .set("threads", std::uint64_t(cfg.threads))
-                    .set("totalOps", cfg.totalOps)
-                    .set("ok", v.ok);
-                if (!v.ok)
-                    data.set("diag", v.diag);
-                report.addCustom(std::string("xval/") + workloadName(w) +
-                                     "/seed" + std::to_string(seed) +
-                                     "/" + proto,
-                                 std::move(data));
+            NativeExperimentConfig cfg;
+            cfg.workload = w;
+            cfg.threads = 4;
+            cfg.totalOps = 2000;
+            cfg.updatePct = 30;
+            cfg.initialSize = 512;
+            cfg.keyRange = 2048;
+            cfg.hashBuckets = 128;
+            cfg.seed = seed;
+            CrossCheckOutcome v = crossValidateNative(cfg);
+            ++total;
+            if (v.ok) {
+                ++passed;
+            } else {
+                ok = false;
+                warn("host_perf: cross-validation FAILED: %s",
+                     v.diag.c_str());
             }
+            Json data = Json::object();
+            data.set("workload", workloadName(w))
+                .set("seed", seed)
+                .set("threads", std::uint64_t(cfg.threads))
+                .set("totalOps", cfg.totalOps)
+                .set("ok", v.ok);
+            if (!v.ok)
+                data.set("diag", v.diag);
+            report.addCustom(std::string("xval/") + workloadName(w) +
+                                 "/seed" + std::to_string(seed),
+                             std::move(data));
         }
     }
     std::cout << "  " << passed << "/" << total
-              << " workload x seed x protocol combinations replay "
-                 "identically\n";
+              << " workload x seed combinations replay identically\n";
 
     Json summary = Json::object();
     summary.set("hostCores", std::uint64_t(host_cores))

@@ -3,8 +3,8 @@
  * Open-system transaction service campaign (DESIGN.md §12).
  *
  * Drives the service subsystem (src/service/) across every execution
- * substrate — both native protocols and the simulated software,
- * hybrid, and adaptive schemes — through four open-system load
+ * substrate — the native STM and the simulated software, hybrid,
+ * and adaptive schemes — through four open-system load
  * shapes derived from each cell's own calibrated capacity:
  *
  *   under  0.5x capacity, Poisson         (drop-free baseline)
@@ -26,8 +26,8 @@
  * with a bit-identical fingerprint. Sim cells run each request on one
  * simulated core against rival commits from a second, scaled by how
  * many busy workers collide with it. A worker-scaling sweep
- * (native/snapshot x 1/2/4 workers x sat/over)
- * measures the throughput headline; the saturated 4-worker cell must
+ * (native x 1/2/4 workers x sat/over) measures the throughput
+ * headline; the saturated 4-worker cell must
  * reach >= 1.8x the 1-worker goodput on a >= 4-core host (the check
  * skips with a warning below that).
  *
@@ -63,7 +63,7 @@
  * --load / --workers / --seed restrict axes; --no-sim-replay skips
  * the pool cells' fiber-based sim replay (TSan again; the in-process
  * replay oracle still runs); --jobs N runs cells in parallel; --json
- * writes the schema-v10 report (BENCH_serve.json baseline).
+ * writes the report (BENCH_serve.json baseline).
  */
 
 #include <cstdint>
@@ -95,16 +95,14 @@ struct SchemeCell
 {
     const char *name;
     bool native;
-    bool snapshotClock;  //!< native protocol select
-    TmScheme scheme;     //!< sim scheme select
+    TmScheme scheme;  //!< sim scheme select
 };
 
 const SchemeCell kSchemes[] = {
-    {"native/snapshot", true, true, TmScheme::Stm},
-    {"native/mcrt", true, false, TmScheme::Stm},
-    {"sim/stm", false, false, TmScheme::Stm},
-    {"sim/hastm", false, false, TmScheme::Hastm},
-    {"sim/adaptive", false, false, TmScheme::Adaptive},
+    {"native", true, TmScheme::Stm},
+    {"sim/stm", false, TmScheme::Stm},
+    {"sim/hastm", false, TmScheme::Hastm},
+    {"sim/adaptive", false, TmScheme::Adaptive},
 };
 
 /** Build the executor for one cell (populate() sizes it from the
@@ -112,11 +110,9 @@ const SchemeCell kSchemes[] = {
 std::unique_ptr<RequestExecutor>
 makeExecutor(const SchemeCell &s, bool sim_replay)
 {
-    if (s.native) {
-        StmConfig stm;
-        stm.nativeSnapshotClock = s.snapshotClock;
-        return std::make_unique<NativeRequestExecutor>(stm, sim_replay);
-    }
+    if (s.native)
+        return std::make_unique<NativeRequestExecutor>(StmConfig{},
+                                                       sim_replay);
     return std::make_unique<SimRequestExecutor>(s.scheme, StmConfig{});
 }
 
@@ -449,8 +445,8 @@ main(int argc, char **argv)
                  "determinism, " << host_cores << " host cores)\n\n";
 
     // ---- calibrate each scheme/seed once, then build the matrix:
-    // the main grid at 4 workers plus the native/snapshot worker-
-    // scaling cells at 1 and 2 workers (sat/over) ----
+    // the main grid at 4 workers plus the native worker-scaling
+    // cells at 1 and 2 workers (sat/over) ----
     std::vector<Cell> cells;
     auto addCell = [&](const SchemeCell *s, LoadKind load,
                        std::uint64_t seed, unsigned workers,
@@ -475,9 +471,8 @@ main(int argc, char **argv)
                 addCell(s, load, seed, 4, service_ns);
             // Worker-scaling sweep: the 4-worker points are the main
             // grid's; add the 1- and 2-worker rungs for the native
-            // snapshot-clock scheme on the saturated and overloaded
-            // regimes.
-            if (s->native && s->snapshotClock && seed == seeds[0]) {
+            // scheme on the saturated and overloaded regimes.
+            if (s->native && seed == seeds[0]) {
                 for (LoadKind load : loads) {
                     if (load != LoadKind::Sat && load != LoadKind::Over)
                         continue;
@@ -565,8 +560,7 @@ main(int argc, char **argv)
         const Cell *sat1 = nullptr, *sat4 = nullptr;
         Json sweep = Json::array();
         for (const Cell &c : cells) {
-            if (!c.scheme->native || !c.scheme->snapshotClock ||
-                c.seed != seeds[0])
+            if (!c.scheme->native || c.seed != seeds[0])
                 continue;
             if (c.load != LoadKind::Sat && c.load != LoadKind::Over)
                 continue;
@@ -598,7 +592,7 @@ main(int argc, char **argv)
                 reproLine(*sat4));
         }
         if (have) {
-            std::cout << "\nworker scaling (native/snapshot, sat): "
+            std::cout << "\nworker scaling (native, sat): "
                       << "4w/1w goodput ratio "
                       << std::to_string(ratio);
             if (!checked) {
@@ -658,7 +652,7 @@ main(int argc, char **argv)
             }
             if (sim_allowed) {
                 std::unique_ptr<RequestExecutor> e =
-                    makeExecutor(kSchemes[2], false);
+                    makeExecutor(kSchemes[1], false);
                 offered_sim = runService(tcfg, *e).offered;
             }
             if (offered_native != stream.size())

@@ -2,9 +2,8 @@
  * @file
  * Native-backend torture campaign.
  *
- * The host-thread counterpart of stress_faults: sweeps both native
- * protocols (TL2-style snapshot clock and PR 6 McRT) across every
- * named native fault profile (native/native_fault.hh), a seed matrix,
+ * The host-thread counterpart of stress_faults: sweeps every named
+ * native fault profile (native/native_fault.hh) across a seed matrix
  * and 1/2/4/8 threads, with deterministic fault injection hammering
  * the protocol's fragile edges — the TL2 read bracket, the acquire
  * windows, the commit-ticket gap, the extension path, rollback, the
@@ -23,15 +22,15 @@
  *    gate holder/inflight/waiter accounting unwound, epochs idle.
  *
  * On any violation the campaign prints a reproducing command line
- * (protocol, profile, seed, threads) and exits non-zero. A
- * determinism coda re-runs one single-threaded cell per protocol and
- * requires bit-identical injected-fault sequences and stats from the
- * same (profile, seed) — and divergence from a different seed.
+ * (profile, seed, threads) and exits non-zero. A determinism coda
+ * re-runs one single-threaded cell and requires bit-identical
+ * injected-fault sequences and stats from the same (profile, seed) —
+ * and divergence from a different seed.
  *
- * Flags: --protocol snapshot|mcrt, --fault-profile <name>, --seed N,
- * --threads N restrict the matrix; --ci trims it for CI latency;
- * --no-sim-replay skips the cross-backend replay; --json writes the
- * schema-v8 report (BENCH_stress_native.json baseline).
+ * Flags: --fault-profile <name>, --seed N, --threads N restrict the
+ * matrix; --ci trims it for CI latency; --no-sim-replay skips the
+ * cross-backend replay; --json writes the report
+ * (BENCH_stress_native.json baseline).
  */
 
 #include <cstdint>
@@ -52,9 +51,8 @@ using namespace hastm;
 namespace {
 
 NativeExperimentConfig
-tortureCfg(bool snapshot_clock, WorkloadKind workload,
-           const std::string &profile, std::uint64_t seed,
-           unsigned threads)
+tortureCfg(WorkloadKind workload, const std::string &profile,
+           std::uint64_t seed, unsigned threads)
 {
     NativeExperimentConfig cfg;
     cfg.workload = workload;
@@ -66,7 +64,6 @@ tortureCfg(bool snapshot_clock, WorkloadKind workload,
     cfg.hashBuckets = 64;
     cfg.seed = seed;
     cfg.heapBytes = 32ull << 20;
-    cfg.stm.nativeSnapshotClock = snapshot_clock;
     // Escalate quickly so the serial-irrevocable path is exercised,
     // not just reachable (same thresholds as stress_faults).
     cfg.stm.watchdogConsecAborts = 8;
@@ -85,20 +82,12 @@ totalNativeFaults(const TmStats &tm)
     return n;
 }
 
-const char *
-protocolName(bool snapshot_clock)
-{
-    return snapshot_clock ? "snapshot" : "mcrt";
-}
-
 std::string
-reproLine(bool snapshot_clock, const std::string &profile,
-          std::uint64_t seed, unsigned threads)
+reproLine(const std::string &profile, std::uint64_t seed,
+          unsigned threads)
 {
-    return "reproduce: stress_native --protocol " +
-           std::string(protocolName(snapshot_clock)) +
-           " --fault-profile " + profile + " --seed " +
-           std::to_string(seed) + " --threads " +
+    return "reproduce: stress_native --fault-profile " + profile +
+           " --seed " + std::to_string(seed) + " --threads " +
            std::to_string(threads);
 }
 
@@ -113,16 +102,6 @@ main(int argc, char **argv)
     bool sim_replay = !hasFlag(argc, argv, "--no-sim-replay");
 
     // ---- matrix, optionally restricted per axis ----
-    std::vector<bool> protocols{true, false};
-    if (std::string p = argValue(argc, argv, "--protocol"); !p.empty()) {
-        if (p == "snapshot")
-            protocols = {true};
-        else if (p == "mcrt")
-            protocols = {false};
-        else
-            fatal("--protocol must be 'snapshot' or 'mcrt', got '%s'",
-                  p.c_str());
-    }
     std::vector<std::string> profiles = nativeFaultProfileNames();
     std::string only = faultProfileArg(argc, argv, profiles);
     if (!only.empty())
@@ -141,74 +120,66 @@ main(int argc, char **argv)
                                       WorkloadKind::Bst,
                                       WorkloadKind::Btree};
 
-    std::cout << "Native torture campaign (" << protocols.size()
-              << " protocols x " << profiles.size() << " profiles x "
+    std::cout << "Native torture campaign (" << profiles.size()
+              << " profiles x "
               << seeds.size() << " seeds x " << threadCounts.size()
               << " thread counts; watchdog 8/32; "
               << (sim_replay ? "sim-replay + " : "")
               << "replay-oracle + native invariant checks per cell)\n\n";
 
-    Table table({"protocol", "profile", "seed", "thr", "workload",
+    Table table({"profile", "seed", "thr", "workload",
                  "commits", "aborts", "irrevoc", "faults", "verdict"});
     std::vector<std::string> failures;
     std::uint64_t campaignFaults[kNumNativeFaultKinds] = {};
     std::uint64_t irrevocable_total = 0;
     unsigned cells = 0;
 
-    for (bool proto : protocols) {
-        for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
-            for (std::size_t di = 0; di < seeds.size(); ++di) {
-                for (std::size_t ti = 0; ti < threadCounts.size(); ++ti) {
-                    // Rotate the data structure so every workload
-                    // meets every profile somewhere in the matrix.
-                    WorkloadKind wl = workloads[(pi + di + ti) % 3];
-                    NativeExperimentConfig cfg =
-                        tortureCfg(proto, wl, profiles[pi], seeds[di],
-                                   threadCounts[ti]);
-                    ++cells;
+    for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
+        for (std::size_t di = 0; di < seeds.size(); ++di) {
+            for (std::size_t ti = 0; ti < threadCounts.size(); ++ti) {
+                // Rotate the data structure so every workload meets
+                // every profile somewhere in the matrix.
+                WorkloadKind wl = workloads[(pi + di + ti) % 3];
+                NativeExperimentConfig cfg = tortureCfg(
+                    wl, profiles[pi], seeds[di], threadCounts[ti]);
+                ++cells;
 
-                    NativeExperimentResult r;
-                    bool ok;
-                    std::string diag;
-                    if (sim_replay) {
-                        CrossCheckOutcome cc =
-                            crossValidateNative(cfg, &r);
-                        ok = cc.ok;
-                        diag = cc.diag;
-                    } else {
-                        NativeExperimentConfig rcfg = cfg;
-                        rcfg.recordOps = true;
-                        r = runNativeDataStructure(rcfg);
-                        ok = r.oracleOk && r.nativeInvariantsOk;
-                        if (!r.nativeInvariantsOk)
-                            diag = "native invariants: " +
-                                   r.nativeInvariantDiag;
-                        else if (!r.oracleOk)
-                            diag = "native oracle: " + r.oracleDiag;
-                    }
+                NativeExperimentResult r;
+                bool ok;
+                std::string diag;
+                if (sim_replay) {
+                    CrossCheckOutcome cc = crossValidateNative(cfg, &r);
+                    ok = cc.ok;
+                    diag = cc.diag;
+                } else {
+                    NativeExperimentConfig rcfg = cfg;
+                    rcfg.recordOps = true;
+                    r = runNativeDataStructure(rcfg);
+                    ok = r.oracleOk && r.nativeInvariantsOk;
+                    if (!r.nativeInvariantsOk)
+                        diag = "native invariants: " + r.nativeInvariantDiag;
+                    else if (!r.oracleOk)
+                        diag = "native oracle: " + r.oracleDiag;
+                }
 
-                    report.add(std::string(protocolName(proto)) + "/" +
-                                   profiles[pi] + "/t" +
-                                   std::to_string(threadCounts[ti]) +
-                                   "/seed" + std::to_string(seeds[di]),
-                               cfg, r);
-                    for (unsigned k = 0; k < kNumNativeFaultKinds; ++k)
-                        campaignFaults[k] += r.tm.nativeFaultsInjected[k];
-                    irrevocable_total += r.tm.irrevocableEntries;
-                    table.addRow({protocolName(proto), profiles[pi],
-                                  fmt(seeds[di]),
-                                  fmt(std::uint64_t(threadCounts[ti])),
-                                  workloadName(wl), fmt(r.tm.commits),
-                                  fmt(r.tm.aborts),
-                                  fmt(r.tm.irrevocableEntries),
-                                  fmt(totalNativeFaults(r.tm)),
-                                  ok ? "ok" : "FAIL"});
-                    if (!ok) {
-                        failures.push_back(
-                            diag + "\n    " +
-                            reproLine(proto, profiles[pi], seeds[di],
-                                      threadCounts[ti]));
-                    }
+                report.add(profiles[pi] + "/t" +
+                               std::to_string(threadCounts[ti]) +
+                               "/seed" + std::to_string(seeds[di]),
+                           cfg, r);
+                for (unsigned k = 0; k < kNumNativeFaultKinds; ++k)
+                    campaignFaults[k] += r.tm.nativeFaultsInjected[k];
+                irrevocable_total += r.tm.irrevocableEntries;
+                table.addRow({profiles[pi], fmt(seeds[di]),
+                              fmt(std::uint64_t(threadCounts[ti])),
+                              workloadName(wl), fmt(r.tm.commits),
+                              fmt(r.tm.aborts),
+                              fmt(r.tm.irrevocableEntries),
+                              fmt(totalNativeFaults(r.tm)),
+                              ok ? "ok" : "FAIL"});
+                if (!ok) {
+                    failures.push_back(diag + "\n    " +
+                                       reproLine(profiles[pi], seeds[di],
+                                                 threadCounts[ti]));
                 }
             }
         }
@@ -223,61 +194,44 @@ main(int argc, char **argv)
     std::cout << "\nirrevocable entries across the campaign: "
               << irrevocable_total << "\n";
 
-    // ---- determinism coda: one single-threaded heavy cell per
-    // protocol, twice from the same (profile, seed) — the injected
-    // sequence and every stat must be bit-identical — and once from a
-    // different seed, which must diverge. Single-threaded, so the
-    // per-thread hook sequence (and hence the whole campaign cell) is
-    // exactly reproducible, not merely reproducible-up-to-scheduling.
-    unsigned determinism_failures = 0;
-    for (bool proto : protocols) {
-        NativeExperimentConfig cfg = tortureCfg(
-            proto, WorkloadKind::HashTable, "heavy", 1, 1);
-        cfg.recordOps = true;
-        NativeExperimentResult a = runNativeDataStructure(cfg);
-        NativeExperimentResult b = runNativeDataStructure(cfg);
-        NativeExperimentConfig cfg2 = cfg;
-        cfg2.fault.seed += 1;
-        NativeExperimentResult c = runNativeDataStructure(cfg2);
+    // ---- determinism coda: one single-threaded heavy cell, twice
+    // from the same (profile, seed) — the injected sequence and every
+    // stat must be bit-identical — and once from a different seed,
+    // which must diverge. Single-threaded, so the per-thread hook
+    // sequence (and hence the whole campaign cell) is exactly
+    // reproducible, not merely reproducible-up-to-scheduling.
+    NativeExperimentConfig dcfg =
+        tortureCfg(WorkloadKind::HashTable, "heavy", 1, 1);
+    dcfg.recordOps = true;
+    NativeExperimentResult a = runNativeDataStructure(dcfg);
+    NativeExperimentResult b = runNativeDataStructure(dcfg);
+    NativeExperimentConfig dcfg2 = dcfg;
+    dcfg2.fault.seed += 1;
+    NativeExperimentResult c = runNativeDataStructure(dcfg2);
 
-        bool identical = a.faultSequenceHash == b.faultSequenceHash &&
-                         a.checksum == b.checksum &&
-                         a.finalSize == b.finalSize &&
-                         a.tm.commits == b.tm.commits &&
-                         a.tm.aborts == b.tm.aborts &&
-                         totalNativeFaults(a.tm) ==
-                             totalNativeFaults(b.tm);
-        bool diverged = a.faultSequenceHash != c.faultSequenceHash;
-        std::cout << "determinism[" << protocolName(proto)
-                  << "]: repeat "
-                  << (identical ? "bit-identical" : "DIVERGED")
-                  << " (seqHash " << a.faultSequenceHash
-                  << "), reseeded "
-                  << (diverged ? "diverged" : "IDENTICAL") << "\n";
-        if (!identical) {
-            ++determinism_failures;
-            failures.push_back(
-                std::string("determinism: repeated (heavy, seed 1) "
-                            "cell diverged on protocol ") +
-                protocolName(proto) + "\n    " +
-                reproLine(proto, "heavy", 1, 1));
-        }
-        if (!diverged) {
-            ++determinism_failures;
-            failures.push_back(
-                std::string("determinism: reseeded cell did not "
-                            "diverge on protocol ") +
-                protocolName(proto));
-        }
-        Json d = Json::object();
-        d.set("protocol", protocolName(proto))
-            .set("repeatIdentical", identical)
-            .set("reseededDiverged", diverged)
-            .set("sequenceHash", a.faultSequenceHash);
-        report.addCustom(std::string("determinism/") +
-                             protocolName(proto),
-                         std::move(d));
+    bool identical = a.faultSequenceHash == b.faultSequenceHash &&
+                     a.checksum == b.checksum &&
+                     a.finalSize == b.finalSize &&
+                     a.tm.commits == b.tm.commits &&
+                     a.tm.aborts == b.tm.aborts &&
+                     totalNativeFaults(a.tm) == totalNativeFaults(b.tm);
+    bool diverged = a.faultSequenceHash != c.faultSequenceHash;
+    std::cout << "determinism: repeat "
+              << (identical ? "bit-identical" : "DIVERGED")
+              << " (seqHash " << a.faultSequenceHash << "), reseeded "
+              << (diverged ? "diverged" : "IDENTICAL") << "\n";
+    if (!identical) {
+        failures.push_back("determinism: repeated (heavy, seed 1) "
+                           "cell diverged\n    " +
+                           reproLine("heavy", 1, 1));
     }
+    if (!diverged)
+        failures.push_back("determinism: reseeded cell did not diverge");
+    Json d = Json::object();
+    d.set("repeatIdentical", identical)
+        .set("reseededDiverged", diverged)
+        .set("sequenceHash", a.faultSequenceHash);
+    report.addCustom("determinism/heavy", std::move(d));
 
     if (!failures.empty()) {
         std::cout << "\nTORTURE FAILURES (" << failures.size() << "):\n";

@@ -4,6 +4,11 @@
 #include <chrono>
 #include <sstream>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include "backend/native_backend.hh"
 #include "backend/sim_backend.hh"
 #include "sim/logging.hh"
@@ -20,6 +25,37 @@ hostNowNanos()
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
+}
+
+/**
+ * Pin the calling thread to the @p slot-th CPU the process may run on
+ * (wrapping past the last), so a multi-thread measurement gets one
+ * core per thread whatever the scheduler's placement policy. Without
+ * it, a host whose cpuset has scheduler load balancing off keeps every
+ * thread on the CPU that spawned it, and a 4-thread cell measures one
+ * core. No-op where the affinity calls are unavailable or fail.
+ */
+void
+pinToCpuSlot(unsigned slot)
+{
+#if defined(__linux__)
+    cpu_set_t allowed;
+    CPU_ZERO(&allowed);
+    if (sched_getaffinity(0, sizeof allowed, &allowed) != 0)
+        return;
+    unsigned want = slot % unsigned(CPU_COUNT(&allowed));
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+        if (!CPU_ISSET(cpu, &allowed) || want-- != 0)
+            continue;
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(cpu, &one);
+        pthread_setaffinity_np(pthread_self(), sizeof one, &one);
+        return;
+    }
+#else
+    (void)slot;
+#endif
 }
 
 } // namespace
@@ -64,6 +100,10 @@ runNativeDataStructure(const NativeExperimentConfig &cfg)
     std::vector<std::function<void(TmExec &)>> bodies;
     for (unsigned tid = 0; tid < cfg.threads; ++tid) {
         bodies.push_back([&, tid](TmExec &t) {
+            // A single body runs inline on the caller, whose affinity
+            // must not change; spawned workers exit with the run.
+            if (cfg.threads > 1)
+                pinToCpuSlot(tid);
             Rng rng(cfg.seed + 104729ull * (tid + 1));
             auto record = [&](OpKind kind, std::uint64_t key,
                               std::uint64_t val, bool res) {

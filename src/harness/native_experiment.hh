@@ -110,7 +110,12 @@ struct NativeExperimentResult
     double opsPerSec = 0.0;
 };
 
-/** Run one data-structure experiment on host threads. */
+/**
+ * Run one data-structure experiment on host threads. With more than
+ * one thread, measured-phase thread t is pinned to the t-th CPU the
+ * process may use (wrapping), so throughput never depends on where
+ * the scheduler happens to place the threads.
+ */
 NativeExperimentResult
 runNativeDataStructure(const NativeExperimentConfig &cfg);
 

@@ -151,8 +151,7 @@ toJson(const StmConfig &c)
         .set("recHashMix", c.recHashMix)
         .set("recShardPerArena", c.recShardPerArena);
     // Schema v7: native-backend protocol knobs.
-    j.set("nativeSnapshotClock", c.nativeSnapshotClock)
-        .set("nativeWriteBloomBits", c.nativeWriteBloomBits)
+    j.set("nativeWriteBloomBits", c.nativeWriteBloomBits)
         .set("nativeBackoffSpinsBase", c.nativeBackoffSpinsBase)
         .set("nativeBackoffSpinsCap", c.nativeBackoffSpinsCap);
     // Schema v8: serial-gate stall bound.

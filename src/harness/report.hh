@@ -12,7 +12,7 @@
  * Document schema (one per bench binary):
  *   {
  *     "bench": "<name>",
- *     "schemaVersion": 11,
+ *     "schemaVersion": 12,
  *     "runs": [ { "label": ...,
  *                 "config": { ...ExperimentConfig|MicroConfig... },
  *                 "result": { "makespan", "instructions", "loads",
@@ -69,12 +69,12 @@
  * counters — instead of simulated cycle counts, which do not exist
  * on that substrate.
  *
- * v7 adds the native snapshot-clock protocol: StmConfig gains
- * "nativeSnapshotClock" / "nativeWriteBloomBits" /
+ * v7 adds the native snapshot-clock protocol: StmConfig gains its
+ * protocol-select flag (dropped in v12) and "nativeWriteBloomBits" /
  * "nativeBackoffSpinsBase" / "nativeBackoffSpinsCap", TmStats gains
  * the protocol counters "extensions" / "extensionFailures" /
  * "bloomFalsePositives" / "clockBumpsSkipped" (zero on the sim
- * backend and under the McRT-style native protocol),
+ * backend),
  * NativeExperimentConfig gains "disjoint" (per-thread key
  * partition), and NativeExperimentResult gains "perThread" (each
  * thread's measured-phase {"commits", "aborts", "abortRate"}).
@@ -122,6 +122,13 @@
  * worker pool and carries the "pool" block ("rivalsInjected" is 0 on
  * native cells); fingerprintExempt is true exactly for native cells
  * with workers > 1.
+ *
+ * v12: the snapshot clock is the only native validation protocol, so
+ * StmConfig drops the v7 protocol-select flag. Native labels carry
+ * no protocol segment (host_perf scale/<mix>/t<n> and
+ * xval/<workload>/seed<s>; stress_native <profile>/t<n>/seed<s>;
+ * serve native/<load>/w<n>/seed<s>). Every other field serializes as
+ * in v11.
  */
 
 #ifndef HASTM_HARNESS_REPORT_HH
@@ -137,7 +144,7 @@
 namespace hastm {
 
 /** The report document format version (see the header comment). */
-constexpr unsigned kReportSchemaVersion = 11;
+constexpr unsigned kReportSchemaVersion = 12;
 
 Json toJson(const Histogram &h);
 Json toJson(const LatencyHistogram &h);

@@ -12,9 +12,9 @@
  * are relaxed atomics, never plain loads/stores.
  *
  * The allocator is the same first-fit-with-coalescing discipline as
- * mem/alloc.cc, guarded by a host mutex (allocation is off the
+ * mem/alloc.cc, guarded by a host mutex. It stays off the
  * transactional fast path: objects at populate time, log chunks on
- * overflow).
+ * overflow, and blocks a NativeThread's size bins cannot serve.
  */
 
 #ifndef HASTM_NATIVE_NATIVE_HEAP_HH

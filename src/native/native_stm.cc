@@ -202,8 +202,7 @@ NativeRuntime::clockExhausted()
 NativeThread::NativeThread(NativeRuntime &rt, unsigned id)
     : rt_(rt), id_(id), fault_(rt.fault()),
       token_(std::uint64_t(id + 1) << 1),
-      jitter_(std::uint64_t(id + 1) * txrec::kHashMult),
-      snapshotMode_(rt.cfg().nativeSnapshotClock)
+      jitter_(std::uint64_t(id + 1) * txrec::kHashMult)
 {
     HASTM_ASSERT(!txrec::isVersion(token_) && token_ != 0);
     epoch_ = &rt_.registerEpochSlot();
@@ -226,6 +225,10 @@ NativeThread::~NativeThread()
     // hand them all back.
     for (auto &[time, obj] : limbo_)
         rt_.heap().free(obj);
+    for (std::deque<Addr> &bin : freeBins_) {
+        for (Addr obj : bin)
+            rt_.heap().free(obj);
+    }
     readSet_.reset();
     writeSet_.reset();
     undoLog_.reset();
@@ -283,7 +286,7 @@ NativeThread::invariantReport() const
     if (irrevocable_)
         bad("irrevocable flag still set");
     std::uint64_t now = rt_.clockNow();
-    if (snapshotMode_ && snapshot_ > now)
+    if (snapshot_ > now)
         bad("snapshot " + std::to_string(snapshot_) +
             " leads the clock " + std::to_string(now));
     if (undoLog_->entries() != 0)
@@ -299,20 +302,18 @@ NativeThread::invariantReport() const
         bad("reclamation epoch still published");
     if (gateSlot_->load(std::memory_order_relaxed))
         bad("serial-gate arrival flag still set");
-    if (snapshotMode_) {
-        // No committed version may encode a time past the clock:
-        // tick() claims the time before any release installs it, so a
-        // leading version means a release wrote a forged value (and
-        // "time <= snapshot proves stability" would be unsound).
-        const NativeRecordTable &tab = rt_.records();
-        for (std::size_t i = 0; i < tab.numRecords(); ++i) {
-            std::uint64_t v = tab.slotValue(i);
-            if (txrec::isVersion(v) && nativeclock::timeOf(v) > now) {
-                bad("record " + std::to_string(i) + " version time " +
-                    std::to_string(nativeclock::timeOf(v)) +
-                    " leads the clock " + std::to_string(now));
-                break;
-            }
+    // No committed version may encode a time past the clock: tick()
+    // claims the time before any release installs it, so a leading
+    // version means a release wrote a forged value (and "time <=
+    // snapshot proves stability" would be unsound).
+    const NativeRecordTable &tab = rt_.records();
+    for (std::size_t i = 0; i < tab.numRecords(); ++i) {
+        std::uint64_t v = tab.slotValue(i);
+        if (txrec::isVersion(v) && nativeclock::timeOf(v) > now) {
+            bad("record " + std::to_string(i) + " version time " +
+                std::to_string(nativeclock::timeOf(v)) +
+                " leads the clock " + std::to_string(now));
+            break;
         }
     }
     return r;
@@ -365,7 +366,7 @@ NativeThread::reclaimOwn()
     std::uint64_t oldest = NativeRuntime::kIdleEpoch;
     for (auto &entry : limbo_) {
         if (entry.first <= min_epoch) {
-            rt_.heap().free(entry.second);
+            recycle(entry.second);
         } else {
             if (entry.first < oldest)
                 oldest = entry.first;
@@ -374,6 +375,32 @@ NativeThread::reclaimOwn()
     }
     limbo_.erase(keep, limbo_.end());
     limboOldest_ = oldest;
+}
+
+void
+NativeThread::recycle(Addr obj)
+{
+    std::size_t total = blockBytes(
+        objmeta::size(rt_.heap().loadWord(obj + kGcMetaOff)));
+    std::size_t bin = total / 16;
+    if (bin < kNumFreeBins && binnedBytes_ + total <= kMaxBinnedBytes) {
+        freeBins_[bin].push_back(obj);
+        binnedBytes_ += total;
+    } else {
+        rt_.heap().free(obj);
+    }
+}
+
+Addr
+NativeThread::takeBinned(std::size_t total)
+{
+    std::size_t bin = total / 16;
+    if (bin >= kNumFreeBins || freeBins_[bin].empty())
+        return kNullAddr;
+    Addr obj = freeBins_[bin].front();
+    freeBins_[bin].pop_front();
+    binnedBytes_ -= total;
+    return obj;
 }
 
 // ---- driver hooks ----
@@ -393,7 +420,6 @@ NativeThread::begin()
     savepoints_.clear();
     retryWatch_.clear();
     bloomClear();
-    sinceValidate_ = 0;
     // Epoch publish, hazard-pointer order: advertise a lower bound on
     // the snapshot *before* the definitive clock sample (both seq_cst).
     // A reclaimer either sees the published epoch and keeps every
@@ -404,8 +430,7 @@ NativeThread::begin()
     // Sampling after the gate also keeps an irrevocable rival's
     // commits visible.
     epoch_->store(rt_.clockNow(), std::memory_order_seq_cst);
-    std::uint64_t now = rt_.clockNow();
-    snapshot_ = snapshotMode_ ? now : 0;
+    snapshot_ = rt_.clockNow();
     depth_ = 1;
 }
 
@@ -413,61 +438,43 @@ bool
 NativeThread::commit()
 {
     HASTM_ASSERT(depth_ == 1);
-    if (snapshotMode_) {
-        if (writeSet_->empty()) {
-            // Read-only fast path: every read post-validated at a
-            // version time <= snapshot_, and any conflicting writer
-            // commits at a strictly later time, so the transaction
-            // serializes at its snapshot with *no* validation and
-            // *no* clock access (the clock-ping-pong win). The stamp
-            // encoding slots it between writer snapshot_ and writer
-            // snapshot_ + 1 in the oracle's total order.
-            commitStamp_ = nativeclock::readerStamp(snapshot_);
-            ++stats_.clockBumpsSkipped;
-        } else {
-            // Writer: claim the commit time first, then validate —
-            // unless the ticket proves no rival committed since the
-            // snapshot (wv == snapshot_ + 1), in which case every
-            // logged read is still at its logged version by
-            // construction and validation is pure overhead (TL2's
-            // GV5 refinement, made exact by the ticket).
-            std::uint64_t wv = rt_.tick();
-            HASTM_ASSERT(wv > snapshot_);
-            // Stretch the ticket-to-writeback window: rivals reading
-            // our still-owned records must keep spinning or extend,
-            // never accept a half-released state.
-            faultHook(NativeFaultPoint::CommitTicket);
-            if (wv != snapshot_ + 1) {
-                try {
-                    validate();
-                } catch (const TxConflictAbort &e) {
-                    commitFailure_ = e;
-                    rollback();
-                    return false;
-                }
-            }
-            commitStamp_ = nativeclock::writerStamp(wv);
-            releaseOwnedAt(nativeclock::versionAt(wv));
-        }
-        stats_.readSetAtCommit.record(readSet_->entries());
-        stats_.undoLogAtCommit.record(undoLog_->entries());
-    } else {
-        try {
-            validate();
-        } catch (const TxConflictAbort &e) {
-            commitFailure_ = e;
-            rollback();
-            return false;
-        }
-        // Serialization point: reads validated, every written record
-        // still held. The global counter gives the replay oracle a
+    if (writeSet_->empty()) {
+        // Read-only fast path: every read post-validated at a version
+        // time <= snapshot_, and any conflicting writer commits at a
+        // strictly later time, so the transaction serializes at its
+        // snapshot with *no* validation and *no* clock access (the
+        // clock-ping-pong win). The stamp encoding slots it between
+        // writer snapshot_ and writer snapshot_ + 1 in the oracle's
         // total order.
-        commitStamp_ = rt_.nextStamp();
+        commitStamp_ = nativeclock::readerStamp(snapshot_);
+        ++stats_.clockBumpsSkipped;
+    } else {
+        // Writer: claim the commit time first, then validate — unless
+        // the ticket proves no rival committed since the snapshot
+        // (wv == snapshot_ + 1), in which case every logged read is
+        // still at its logged version by construction and validation
+        // is pure overhead (TL2's GV5 refinement, made exact by the
+        // ticket).
+        std::uint64_t wv = rt_.tick();
+        HASTM_ASSERT(wv > snapshot_);
+        // Stretch the ticket-to-writeback window: rivals reading our
+        // still-owned records must keep spinning or extend, never
+        // accept a half-released state.
         faultHook(NativeFaultPoint::CommitTicket);
-        stats_.readSetAtCommit.record(readSet_->entries());
-        stats_.undoLogAtCommit.record(undoLog_->entries());
-        releaseOwned(true);
+        if (wv != snapshot_ + 1) {
+            try {
+                validate();
+            } catch (const TxConflictAbort &e) {
+                commitFailure_ = e;
+                rollback();
+                return false;
+            }
+        }
+        commitStamp_ = nativeclock::writerStamp(wv);
+        releaseOwnedAt(nativeclock::versionAt(wv));
     }
+    stats_.readSetAtCommit.record(readSet_->entries());
+    stats_.undoLogAtCommit.record(undoLog_->entries());
     // The undo log is dead weight after a successful commit; clearing
     // it here (not lazily at the next begin) makes "undo log empty
     // after commit" a checkable invariant for the torture harness.
@@ -504,21 +511,17 @@ NativeThread::rollback()
     // transaction aborted by validation or retry()).
     undoLog_->forEachReverse(undoLog_->beginPos(),
                              [&](Addr e) { undoRestore(e); });
-    if (snapshotMode_) {
-        // Released records must re-version *forward* in clock time: a
-        // plain old+2 bump could run ahead of the clock and collide
-        // with the version a future writer commit will install,
-        // letting a stale snapshot accept a dirty-then-restored value
-        // (ABA). Consuming a real tick keeps "time <= snapshot =>
-        // stable" airtight. Write-free aborts own nothing and skip
-        // the clock entirely.
-        if (!writeSet_->empty())
-            releaseOwnedAt(nativeclock::versionAt(rt_.tick()));
-        else
-            ownedVersions_.clear();
-    } else {
-        releaseOwned(true);
-    }
+    // Released records must re-version *forward* in clock time: a
+    // plain old+2 bump could run ahead of the clock and collide with
+    // the version a future writer commit will install, letting a
+    // stale snapshot accept a dirty-then-restored value (ABA).
+    // Consuming a real tick keeps "time <= snapshot => stable"
+    // airtight. Write-free aborts own nothing and skip the clock
+    // entirely.
+    if (!writeSet_->empty())
+        releaseOwnedAt(nativeclock::versionAt(rt_.tick()));
+    else
+        ownedVersions_.clear();
     txFrees_.clear();
     savepoints_.clear();
     depth_ = 0;
@@ -659,16 +662,6 @@ NativeThread::readShared(Addr obj, Addr data)
         if (v == token_)
             return rt_.heap().loadWord(data);
         if (txrec::isVersion(v)) {
-            if (!snapshotMode_) {
-                std::uint64_t val = rt_.heap().loadWord(data);
-                // Widen the record-check-to-log window (McRT's analogue
-                // of the TL2 gap): a writer landing here must be caught
-                // by the logged pre-load version at validation.
-                faultHook(NativeFaultPoint::Tl2ReadGap);
-                readSet_->append2(packRec(rec), v);
-                maybeValidate();
-                return val;
-            }
             // TL2 read: bracket the data load between two record
             // loads. An unchanged odd version proves the datum was
             // stable across the load; the acquire fence orders the
@@ -723,7 +716,7 @@ NativeThread::acquire(NRec rec)
         if (v == token_)
             return;
         if (txrec::isVersion(v)) {
-            if (snapshotMode_ && nativeclock::timeOf(v) > snapshot_) {
+            if (nativeclock::timeOf(v) > snapshot_) {
                 // Acquiring would let us read-after-write a value
                 // newer than our snapshot; extend first so the
                 // transaction stays opaque.
@@ -779,16 +772,6 @@ NativeThread::spinBudget(unsigned attempt) const
     std::uint64_t h = (jitter_ + attempt) * txrec::kHashMult;
     budget += (h >> 56) * budget / 512;
     return unsigned(budget < cap ? budget : cap);
-}
-
-void
-NativeThread::maybeValidate()
-{
-    unsigned every = rt_.cfg().validateEvery;
-    if (every != 0 && ++sinceValidate_ >= every) {
-        sinceValidate_ = 0;
-        validateNow();
-    }
 }
 
 void
@@ -931,45 +914,26 @@ NativeThread::releaseOwnedAt(std::uint64_t v)
 }
 
 void
-NativeThread::releaseOwned(bool bump)
-{
-    writeSet_->forEachAll([&](Addr e) {
-        NRec rec = unpackRec(rt_.heap().loadWord(e));
-        std::uint64_t old = rt_.heap().loadWord(e + 8);
-        rec->store(bump ? txrec::nextVersion(old) : old,
-                   std::memory_order_release);
-    });
-    ownedVersions_.clear();
-}
-
-void
 NativeThread::partialRollback(const NativeSavepoint &sp)
 {
     // Restore data written since the savepoint, newest first.
     undoLog_->forEachReverse(sp.undoPos,
                              [&](Addr e) { undoRestore(e); });
     // Release records first acquired inside the nested transaction,
-    // re-versioned *forward* — a fresh clock tick in snapshot mode
-    // (one tick covers the whole frame), a +2 bump in McRT mode —
-    // exactly like a full rollback. Restoring the pre-acquisition
-    // version would be the dirty-then-restored ABA: a rival that
-    // loaded that version, read the frame's in-place value during the
-    // dirty window, and re-checks after this restore would see the
-    // version unchanged and accept uncommitted data. The parent's own
-    // logged reads of these records go stale instead and
+    // re-versioned *forward* to a fresh clock tick (one tick covers
+    // the whole frame), exactly like a full rollback. Restoring the
+    // pre-acquisition version would be the dirty-then-restored ABA: a
+    // rival that loaded that version, read the frame's in-place value
+    // during the dirty window, and re-checks after this restore would
+    // see the version unchanged and accept uncommitted data. The
+    // parent's own logged reads of these records go stale instead and
     // conservatively extend or abort at their next validation.
     std::uint64_t fwd = 0;
     writeSet_->forEach(sp.wrPos, [&](Addr e) {
         NRec rec = unpackRec(rt_.heap().loadWord(e));
-        std::uint64_t v;
-        if (snapshotMode_) {
-            if (fwd == 0)
-                fwd = nativeclock::versionAt(rt_.tick());
-            v = fwd;
-        } else {
-            v = txrec::nextVersion(rt_.heap().loadWord(e + 8));
-        }
-        rec->store(v, std::memory_order_release);
+        if (fwd == 0)
+            fwd = nativeclock::versionAt(rt_.tick());
+        rec->store(fwd, std::memory_order_release);
         ownedVersions_.erase(rec);
     });
     undoLog_->truncate(sp.undoPos);
@@ -1023,9 +987,17 @@ NativeThread::writeField(Addr obj, unsigned off, std::uint64_t v,
 Addr
 NativeThread::txAlloc(std::size_t field_bytes, std::uint32_t ptr_mask)
 {
-    reclaimOwn();
-    std::size_t total = kObjHeaderBytes + ((field_bytes + 15) & ~15ull);
-    Addr obj = rt_.heap().allocZeroed(total, 16);
+    std::size_t total = blockBytes(field_bytes);
+    Addr obj = takeBinned(total);
+    if (obj == kNullAddr) {
+        // Only an empty bin pays for the epoch scan.
+        reclaimOwn();
+        obj = takeBinned(total);
+    }
+    if (obj == kNullAddr)
+        obj = rt_.heap().alloc(total, 16);
+    for (Addr p = obj; p < obj + total; p += 8)
+        rt_.heap().storeWord(p, 0);
     rt_.heap().storeWord(obj + kTxRecOff, txrec::kInitialVersion);
     rt_.heap().storeWord(obj + kGcMetaOff,
                          objmeta::make(field_bytes, ptr_mask));

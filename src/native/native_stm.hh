@@ -19,33 +19,26 @@
  *  - commit stamps come from one global commit clock, which gives the
  *    replay oracle a total order (see "Commit clock" below).
  *
- * Two validation protocols are selectable via
- * StmConfig::nativeSnapshotClock (DESIGN.md §10):
- *
- *  - **Snapshot clock** (default, TL2/LSA lineage): record versions
- *    encode the commit time of their last writer (version 2t+1 for
- *    time t). A transaction samples the clock at begin; a read that
- *    post-validates (record unchanged across the data load) at a
- *    version time at or before the snapshot is consistent *forever* —
- *    no periodic revalidation, and commit-time validation collapses
- *    to nothing when no rival committed since the snapshot. A newer
- *    version triggers a *timestamp extension*: revalidate the read
- *    set once against the current clock and advance the snapshot,
- *    aborting only if a logged read actually went stale.
- *  - **McRT-style** (PR 6): log (record, version) per read, re-read
- *    the whole read set every validateEvery barriers and again at
- *    commit — O(|readSet|²) on read-dominated transactions.
+ * Validation is the snapshot clock (TL2/LSA lineage, DESIGN.md §10):
+ * record versions encode the commit time of their last writer
+ * (version 2t+1 for time t). A transaction samples the clock at
+ * begin; a read that post-validates (record unchanged across the data
+ * load) at a version time at or before the snapshot is consistent
+ * *forever* — no periodic revalidation, and commit-time validation
+ * collapses to nothing when no rival committed since the snapshot. A
+ * newer version triggers a *timestamp extension*: revalidate the read
+ * set once against the current clock and advance the snapshot,
+ * aborting only if a logged read actually went stale.
  *
  * Commit clock: read-only commits never touch the clock cache line
  * (their serialization stamp is derived from the snapshot); writer
  * commits fetch_add once, and skip commit validation entirely when
  * the ticket shows no rival committed since the snapshot. Rollbacks
  * — full *and* partial — that release written records re-version
- * them *forward* in clock time (a fresh tick in snapshot mode, a +2
- * bump in McRT mode): versions never run ahead of the clock, and a
- * released record never returns to its pre-acquisition version,
- * which is what makes "version time <= snapshot" (or "version
- * unchanged" under McRT) a proof of stability. Restoring the old
+ * them *forward* to a fresh clock tick: versions never run ahead of
+ * the clock, and a released record never returns to its
+ * pre-acquisition version, which is what makes "version time <=
+ * snapshot" a proof of stability. Restoring the old
  * version would let a rival that bracketed a read across the dirty
  * window accept the undone value (the dirty-then-restored ABA).
  *
@@ -66,16 +59,19 @@
  * oldest-stamp bound skips the sweep entirely when no entry can be
  * ripe. Aborted transactions' own allocations take the same path, so
  * a zombie's dirty pointer never dereferences reused memory either.
+ * Ripe blocks land in the reclaiming thread's size bins, and its
+ * txAlloc reuses them before it asks the shared first-fit heap, so
+ * an update workload's steady-state alloc/free cycle stays off the
+ * heap mutex.
  *
  * Memory-model notes: record words are acquired/released with
- * acq_rel/acquire orderings; data words are relaxed atomics. Under
- * the snapshot protocol a reader brackets the data load between two
- * record loads separated by an acquire fence (the TL2 idiom): an
- * unchanged odd version proves the datum was stable, and a version
- * time at or before the snapshot proves it is the newest committed
- * value the snapshot can see. Under the McRT protocol a reader
- * validates by re-reading the record it logged. All heap accesses
- * are atomics, so the backend is data-race-free for TSan.
+ * acq_rel/acquire orderings; data words are relaxed atomics. A
+ * reader brackets the data load between two record loads separated
+ * by an acquire fence (the TL2 idiom): an unchanged odd version
+ * proves the datum was stable, and a version time at or before the
+ * snapshot proves it is the newest committed value the snapshot can
+ * see. All heap accesses are atomics, so the backend is
+ * data-race-free for TSan.
  */
 
 #ifndef HASTM_NATIVE_NATIVE_STM_HH
@@ -439,9 +435,6 @@ class NativeRuntime
         return t;
     }
 
-    /** McRT-protocol serialization-order commit counter (PR 6). */
-    std::uint64_t nextStamp() { return tick(); }
-
     /** Force the clock for wraparound-guard tests. */
     void
     setClockForTest(std::uint64_t t)
@@ -621,8 +614,6 @@ class alignas(64) NativeThread : public TmExec
     /** Full read-set validation; throws on a stale read. */
     void validate();
 
-    void maybeValidate();
-
     /**
      * Timestamp extension: revalidate the read set against the
      * current clock and advance the snapshot; throws (counting an
@@ -643,11 +634,8 @@ class alignas(64) NativeThread : public TmExec
     /** Restore one undo entry (newest-first traversal). */
     void undoRestore(Addr entry);
 
-    /** Release every owned record at version @p v (snapshot mode). */
+    /** Release every owned record at version @p v. */
     void releaseOwnedAt(std::uint64_t v);
-
-    /** Release every owned record, bumping versions when @p bump. */
-    void releaseOwned(bool bump);
 
     void partialRollback(const NativeSavepoint &sp);
 
@@ -665,11 +653,25 @@ class alignas(64) NativeThread : public TmExec
     void deferFree(Addr obj);
 
     /**
-     * Hand every ripe limbo block back to the allocator. Cheap while
-     * the list is empty or the cached oldest stamp proves some active
-     * epoch still pins everything (one lock-free slot scan, no sweep).
+     * recycle() every ripe limbo block. Cheap while the list is empty
+     * or the cached oldest stamp proves some active epoch still pins
+     * everything (one lock-free slot scan, no sweep).
      */
     void reclaimOwn();
+
+    /** Bytes of a txAlloc block with @p field_bytes of fields. */
+    static std::size_t
+    blockBytes(std::size_t field_bytes)
+    {
+        return kObjHeaderBytes + ((field_bytes + 15) & ~std::size_t(15));
+    }
+
+    /** A ripe block: into its size bin, or back to the shared heap
+     *  when it is too large or the bins are full. */
+    void recycle(Addr obj);
+
+    /** Oldest binned block of @p total bytes, or kNullAddr. */
+    Addr takeBinned(std::size_t total);
 
     /** Capped-exponential contention spins for attempt @p attempt. */
     unsigned spinBudget(unsigned attempt) const;
@@ -705,9 +707,6 @@ class alignas(64) NativeThread : public TmExec
     /** Deterministic per-thread jitter seed (hashed thread id). */
     std::uint64_t jitter_;
 
-    /** nativeSnapshotClock, latched at construction. */
-    bool snapshotMode_;
-
     /** Commit time this transaction's reads are consistent with. */
     std::uint64_t snapshot_ = 0;
 
@@ -726,6 +725,19 @@ class alignas(64) NativeThread : public TmExec
     /** Smallest stamp on limbo_ (kIdleEpoch when empty): reclaim
      *  sweeps only when the oldest active epoch reaches it. */
     std::uint64_t limboOldest_ = NativeRuntime::kIdleEpoch;
+
+    /**
+     * Ripe blocks reclaimOwn() handed back, binned by size (bin i
+     * holds 16*i-byte blocks) for this thread's own txAlloc: an
+     * update workload's steady-state alloc/free cycle never takes the
+     * heap mutex or walks its maps. FIFO per bin, so the block free
+     * longest is reused first. Owner-only, like limbo_; at most
+     * kMaxBinnedBytes, past which blocks go back to the heap.
+     */
+    static constexpr std::size_t kNumFreeBins = 33;  //!< up to 512 B
+    static constexpr std::size_t kMaxBinnedBytes = 64 * 1024;
+    std::deque<Addr> freeBins_[kNumFreeBins];
+    std::size_t binnedBytes_ = 0;
 
     Addr cursors_;  //!< 64-byte block holding the three log cursors
     std::unique_ptr<TxLog> readSet_;   //!< [rec][version]
@@ -749,7 +761,6 @@ class alignas(64) NativeThread : public TmExec
     /** Read-set snapshot for waitForChange (retry support). */
     std::vector<std::pair<NRec, std::uint64_t>> retryWatch_;
 
-    unsigned sinceValidate_ = 0;
     bool irrevocable_ = false;
 
     /** Pad the tail so the hot state above (stats included) never

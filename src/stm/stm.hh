@@ -35,7 +35,10 @@ namespace hastm {
 struct StmConfig
 {
     Granularity gran = Granularity::CacheLine;
-    unsigned validateEvery = 64;     //!< barriers per periodic validation
+    /** Barriers per periodic read-set validation (simulator STM
+     *  only; the native snapshot clock never revalidates
+     *  periodically). */
+    unsigned validateEvery = 64;
     CmParams cm;
     bool clearMarksAtEnd = true;     //!< §7: no inter-atomic reuse
     bool filterReads = true;         //!< false => HASTM-NoReuse ablation
@@ -59,17 +62,6 @@ struct StmConfig
     /** Same, for total aborts since the last successful commit. */
     unsigned watchdogRetriesPerCommit = 256;
     // ---- native-backend protocol knobs (native/native_stm.hh) ----
-    /**
-     * Time-based snapshot protocol (TL2/LSA lineage) for the native
-     * backend: record versions carry global-clock commit times, a read
-     * of an unlocked record whose time is at or before the
-     * transaction's begin snapshot needs no revalidation ever, and a
-     * newer version triggers one timestamp extension (revalidate once,
-     * advance the snapshot) instead of an abort. False restores the
-     * PR 6 McRT-style protocol (periodic + commit-time full read-set
-     * revalidation, per-record version bumps) for A/B comparison.
-     */
-    bool nativeSnapshotClock = true;
     /**
      * Bits in the native backend's per-thread write-set Bloom filter
      * (rounded up to a power of two, minimum 64). A write whose

@@ -8,8 +8,8 @@
  * the injector wired into a NativeBackend (a forged extension failure
  * at an exact program point, per-kind TmStats counters, the stall
  * profile against the timed gate); and whole torture cells through
- * runNativeDataStructure on both native protocols (determinism,
- * invariant sweep, nonzero injected-fault counts). The NativeGate
+ * runNativeDataStructure (determinism, invariant sweep, nonzero
+ * injected-fault counts). The NativeGate
  * timed-wait regression (satellite of PR 8) gets a death test: a
  * deliberately stalled arrival must fail fast with the holder /
  * inflight / waiter diagnostic instead of hanging the suite.
@@ -362,8 +362,7 @@ TEST(NativeFaultBackend, InjectedKillsAreCountedPerKind)
 // ---------------------------------------------- whole torture cells
 
 NativeExperimentConfig
-cellCfg(bool snapshot_clock, const std::string &profile,
-        std::uint64_t seed, unsigned threads)
+cellCfg(const std::string &profile, std::uint64_t seed, unsigned threads)
 {
     NativeExperimentConfig cfg;
     cfg.workload = WorkloadKind::HashTable;
@@ -374,7 +373,6 @@ cellCfg(bool snapshot_clock, const std::string &profile,
     cfg.keyRange = 256;
     cfg.hashBuckets = 64;
     cfg.heapBytes = 32ull << 20;
-    cfg.stm.nativeSnapshotClock = snapshot_clock;
     cfg.stm.watchdogConsecAborts = 8;
     cfg.stm.watchdogRetriesPerCommit = 32;
     cfg.recordOps = true;
@@ -383,13 +381,9 @@ cellCfg(bool snapshot_clock, const std::string &profile,
     return cfg;
 }
 
-class NativeTortureCell : public ::testing::TestWithParam<bool>
+TEST(NativeTortureCell, RepeatedCellIsBitIdentical)
 {
-};
-
-TEST_P(NativeTortureCell, RepeatedCellIsBitIdentical)
-{
-    NativeExperimentConfig cfg = cellCfg(GetParam(), "heavy", 21, 1);
+    NativeExperimentConfig cfg = cellCfg("heavy", 21, 1);
     NativeExperimentResult a = runNativeDataStructure(cfg);
     NativeExperimentResult b = runNativeDataStructure(cfg);
     EXPECT_GT(a.faultSequenceHash, 0u);
@@ -404,18 +398,18 @@ TEST_P(NativeTortureCell, RepeatedCellIsBitIdentical)
     EXPECT_TRUE(a.nativeInvariantsOk) << a.nativeInvariantDiag;
 }
 
-TEST_P(NativeTortureCell, ReseededCellDiverges)
+TEST(NativeTortureCell, ReseededCellDiverges)
 {
-    NativeExperimentConfig cfg = cellCfg(GetParam(), "heavy", 21, 1);
+    NativeExperimentConfig cfg = cellCfg("heavy", 21, 1);
     NativeExperimentResult a = runNativeDataStructure(cfg);
     cfg.fault.seed += 1;
     NativeExperimentResult c = runNativeDataStructure(cfg);
     EXPECT_NE(a.faultSequenceHash, c.faultSequenceHash);
 }
 
-TEST_P(NativeTortureCell, MultiThreadedHeavyCellSurvivesChecks)
+TEST(NativeTortureCell, MultiThreadedHeavyCellSurvivesChecks)
 {
-    NativeExperimentConfig cfg = cellCfg(GetParam(), "heavy", 3, 4);
+    NativeExperimentConfig cfg = cellCfg("heavy", 3, 4);
     NativeExperimentResult r;
     CrossCheckOutcome cc = crossValidateNative(cfg, &r);
     EXPECT_TRUE(cc.ok) << cc.diag;
@@ -423,12 +417,12 @@ TEST_P(NativeTortureCell, MultiThreadedHeavyCellSurvivesChecks)
     EXPECT_TRUE(r.nativeInvariantsOk) << r.nativeInvariantDiag;
 }
 
-TEST_P(NativeTortureCell, StallProfileCompletesUnderTimedGate)
+TEST(NativeTortureCell, StallProfileCompletesUnderTimedGate)
 {
     // Gate-transition sleeps well under the (generous) stall limit:
     // the timed wait must tolerate them, and the GateStall counter
     // proves they ran.
-    NativeExperimentConfig cfg = cellCfg(GetParam(), "stall", 9, 2);
+    NativeExperimentConfig cfg = cellCfg("stall", 9, 2);
     NativeExperimentResult r = runNativeDataStructure(cfg);
     EXPECT_TRUE(r.oracleOk) << r.oracleDiag;
     EXPECT_TRUE(r.nativeInvariantsOk) << r.nativeInvariantDiag;
@@ -436,12 +430,6 @@ TEST_P(NativeTortureCell, StallProfileCompletesUnderTimedGate)
                   NativeFaultKind::GateStall)],
               1u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Protocols, NativeTortureCell,
-                         ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool> &info) {
-                             return info.param ? "snapshot" : "mcrt";
-                         });
 
 } // anonymous namespace
 } // namespace hastm

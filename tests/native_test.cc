@@ -4,9 +4,7 @@
  *
  * The same conformance bodies the simulated schemes pass
  * (tests/conformance_suite.hh) run over NativeBackend at every
- * granularity — under both the default snapshot-clock protocol and
- * the McRT-style protocol (nativeSnapshotClock=false) — plus
- * native-specific machinery: empty-undo-log and partial-write
+ * granularity, plus native-specific machinery: empty-undo-log and partial-write
  * rollback through TxLog::beginPos, the host serial gate, scaling of
  * the session runner, and the cross-backend replay — a recorded
  * native op log replayed through the simulator must agree op-for-op
@@ -101,69 +99,6 @@ INSTANTIATE_TEST_SUITE_P(
           default:                  return "line";
         }
     });
-
-// The McRT-style protocol must stay selectable (and correct) for A/B
-// comparison: the same conformance bodies with nativeSnapshotClock
-// off, at every granularity.
-
-class NativeMcrtConformance : public ::testing::TestWithParam<Granularity>
-{
-  protected:
-    static NativeSessionConfig
-    mcrtCfg(unsigned threads, Granularity gran)
-    {
-        NativeSessionConfig c = nativeCfg(threads, gran);
-        c.stm.nativeSnapshotClock = false;
-        return c;
-    }
-};
-
-TEST_P(NativeMcrtConformance, ReadYourOwnWrites)
-{
-    NativeBackend b(mcrtCfg(1, GetParam()));
-    conform::readYourOwnWrites(b);
-}
-
-TEST_P(NativeMcrtConformance, CounterIncrementsAreAtomic)
-{
-    NativeBackend b(mcrtCfg(2, GetParam()));
-    conform::counterIncrementsAreAtomic(b);
-}
-
-TEST_P(NativeMcrtConformance, MoneyConservedUnderTransfers)
-{
-    NativeBackend b(mcrtCfg(2, GetParam()));
-    conform::moneyConservedUnderTransfers(b);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Stm, NativeMcrtConformance,
-    ::testing::Values(Granularity::CacheLine, Granularity::Object,
-                      Granularity::Word),
-    [](const ::testing::TestParamInfo<Granularity> &info) {
-        switch (info.param) {
-          case Granularity::Object: return "obj";
-          case Granularity::Word:   return "word";
-          default:                  return "line";
-        }
-    });
-
-TEST(NativeMcrt, SnapshotCountersStayZeroUnderTheOldProtocol)
-{
-    NativeSessionConfig cfg = nativeCfg(1);
-    cfg.stm.nativeSnapshotClock = false;
-    NativeBackend b(cfg);
-    b.run({[&](TmExec &t) {
-        Addr obj = t.txAlloc(32);
-        t.atomic([&] { t.writeField(obj, 0, 1); });
-        t.atomic([&] { EXPECT_EQ(t.readField(obj, 0), 1u); });
-        EXPECT_EQ(t.stats().extensions, 0u);
-        EXPECT_EQ(t.stats().extensionFailures, 0u);
-        EXPECT_EQ(t.stats().clockBumpsSkipped, 0u);
-        // Commit-time validation, by contrast, runs every time.
-        EXPECT_GE(t.stats().fullValidations, 2u);
-    }});
-}
 
 // ------------------------------------------------ rollback edge cases
 
@@ -289,35 +224,6 @@ TEST(NativeRollback, PartialAbortReversionsNestedAcquiredRecordsForward)
             EXPECT_NE(after, before);
             EXPECT_GT(nativeclock::timeOf(after),
                       nativeclock::timeOf(before));
-        });
-        t.atomic([&] { EXPECT_EQ(t.readField(obj, 0), 7u); });
-    }});
-}
-
-TEST(NativeRollback, McrtPartialAbortBumpsNestedAcquiredRecords)
-{
-    // Same guard under the old protocol: the release bumps the
-    // version (old + 2), matching the full-rollback discipline, so a
-    // rival's validation of a read logged at the pre-acquisition
-    // version can never accept the dirty window.
-    NativeSessionConfig cfg = nativeCfg(1);
-    cfg.stm.nativeSnapshotClock = false;
-    NativeBackend b(cfg);
-    NativeThread &t = b.session().thread(0);
-    NativeRuntime &rt = b.session().runtime();
-    b.run({[&](TmExec &) {
-        Addr obj = t.txAlloc(32);
-        t.atomic([&] { t.writeField(obj, 0, 7); });
-        auto &rec = rt.recordFor(obj, obj + kObjHeaderBytes);
-        std::uint64_t before = rec.load();
-        ASSERT_TRUE(txrec::isVersion(before));
-        t.atomic([&] {
-            bool inner = t.atomic([&] {
-                t.writeField(obj, 0, 99);
-                t.userAbort();
-            });
-            EXPECT_FALSE(inner);
-            EXPECT_EQ(rec.load(), txrec::nextVersion(before));
         });
         t.atomic([&] { EXPECT_EQ(t.readField(obj, 0), 7u); });
     }});
@@ -813,33 +719,24 @@ TEST(NativeSnapshotStats, ReadOnlyCommitLeavesTheClockAlone)
 TEST(NativeSnapshotStats, SoloWriterNeverRevalidatesItsReadSet)
 {
     // The ticket refinement: when no rival committed between snapshot
-    // and commit ticket, validation is skipped outright. The McRT
-    // protocol re-reads the read set on every single commit.
-    auto validationsFor = [](bool snapshot_clock) {
-        NativeSessionConfig cfg = nativeCfg(1);
-        cfg.stm.nativeSnapshotClock = snapshot_clock;
-        NativeBackend b(cfg);
-        std::uint64_t validations = 0;
-        b.run({[&](TmExec &t) {
-            Addr obj = t.txAlloc(8 * 64);
+    // and commit ticket, validation is skipped outright.
+    NativeBackend b(nativeCfg(1));
+    b.run({[&](TmExec &t) {
+        Addr obj = t.txAlloc(8 * 64);
+        t.atomic([&] {
+            for (unsigned i = 0; i < 64; ++i)
+                t.writeField(obj, 8 * i, 1);
+        });
+        for (unsigned r = 0; r < 20; ++r) {
             t.atomic([&] {
+                std::uint64_t acc = 0;
                 for (unsigned i = 0; i < 64; ++i)
-                    t.writeField(obj, 8 * i, 1);
+                    acc += t.readField(obj, 8 * i);
+                t.writeField(obj, 0, acc);
             });
-            for (unsigned r = 0; r < 20; ++r) {
-                t.atomic([&] {
-                    std::uint64_t acc = 0;
-                    for (unsigned i = 0; i < 64; ++i)
-                        acc += t.readField(obj, 8 * i);
-                    t.writeField(obj, 0, acc);
-                });
-            }
-            validations = t.stats().fullValidations;
-        }});
-        return validations;
-    };
-    EXPECT_EQ(validationsFor(true), 0u);
-    EXPECT_GE(validationsFor(false), 20u);
+        }
+        EXPECT_EQ(t.stats().fullValidations, 0u);
+    }});
 }
 
 TEST(NativeClockDeathTest, WriterPastMaxTimePanics)
