@@ -282,15 +282,13 @@ checkCell(LoadKind load, const ServiceConfig &cfg, const ServiceResult &r,
     if (occDone != r.completed)
         return "occupancy: per-worker completed does not sum";
     if (r.pool.enabled) {
-        // Native cell: the three-way validation must actually have
-        // run and passed (for w2+ it stands in for bit-identity).
+        // Native cell: the native-run verdict must actually have run
+        // and passed (for w2+ it stands in for bit-identity).
         const PoolOutcome &p = r.pool;
-        if (!p.oracleChecked || !p.oracleOk)
-            return "pool replay oracle failed: " + p.diag;
-        if (p.simReplayChecked && !p.simReplayOk)
-            return "pool sim-replay diverged: " + p.diag;
-        if (!p.nativeInvariantsOk)
-            return "pool native invariant sweep failed: " + p.diag;
+        if (!p.oracleChecked)
+            return "pool replay oracle did not run";
+        if (!p.ok())
+            return "pool verdict failed: " + p.diag();
         std::uint64_t executed = 0;
         for (const PoolWorkerStats &w : p.perWorker)
             executed += w.executed;

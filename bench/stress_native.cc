@@ -144,23 +144,19 @@ main(int argc, char **argv)
                     wl, profiles[pi], seeds[di], threadCounts[ti]);
                 ++cells;
 
+                // Both branches end in the one native-run verdict;
+                // crossValidateNative also asks it for the sim replay.
                 NativeExperimentResult r;
-                bool ok;
                 std::string diag;
                 if (sim_replay) {
-                    CrossCheckOutcome cc = crossValidateNative(cfg, &r);
-                    ok = cc.ok;
-                    diag = cc.diag;
+                    diag = crossValidateNative(cfg, &r).diag;
                 } else {
                     NativeExperimentConfig rcfg = cfg;
                     rcfg.recordOps = true;
                     r = runNativeDataStructure(rcfg);
-                    ok = r.oracleOk && r.nativeInvariantsOk;
-                    if (!r.nativeInvariantsOk)
-                        diag = "native invariants: " + r.nativeInvariantDiag;
-                    else if (!r.oracleOk)
-                        diag = "native oracle: " + r.oracleDiag;
+                    diag = r.diag();
                 }
+                bool ok = r.ok();
 
                 report.add(profiles[pi] + "/t" +
                                std::to_string(threadCounts[ti]) +

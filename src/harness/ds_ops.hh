@@ -5,6 +5,11 @@
  * cross-backend replay. The ops close over TmExec, so one DsInstance
  * works on either backend (constructed via whichever thread built
  * the structure).
+ *
+ * Also the one op-mix body both experiment runners use: populateDs()
+ * and runOpMix() draw the same Rng streams on either substrate, so a
+ * sim run and a native run of one OpMixConfig perform the identical
+ * multiset of operations and differ only in interleaving.
  */
 
 #ifndef HASTM_HARNESS_DS_OPS_HH
@@ -13,7 +18,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <vector>
 
+#include "harness/oracle.hh"
 #include "workloads/bst.hh"
 #include "workloads/btree.hh"
 #include "workloads/hashtable.hh"
@@ -24,6 +31,25 @@ namespace hastm {
 enum class WorkloadKind : std::uint8_t { HashTable, Bst, Btree };
 
 const char *workloadName(WorkloadKind k);
+
+/** The data-structure op mix both experiment runners share. */
+struct OpMixConfig
+{
+    WorkloadKind workload = WorkloadKind::Bst;
+    unsigned threads = 1;
+    std::uint64_t totalOps = 4096;  //!< measured phase, split evenly
+    unsigned updatePct = 20;        //!< paper: 20 % of operations update
+    std::uint64_t initialSize = 1024;
+    std::uint64_t keyRange = 8192;
+    std::uint64_t seed = 42;
+    unsigned hashBuckets = 256;
+    /**
+     * Record every committed operation and replay the log against the
+     * sequential specification after the run (harness/oracle.hh).
+     * Host-side only: on the simulator, recording charges no cycles.
+     */
+    bool recordOps = false;
+};
 
 /** Type-erased operations over one data-structure instance. */
 struct DsOps
@@ -116,6 +142,42 @@ makeDs(TmExec &t, WorkloadKind kind, unsigned hash_buckets)
     }
     return d;
 }
+
+/** Run one map operation (@p value is read by inserts only). */
+inline bool
+applyOp(TmExec &t, const DsOps &ops, OpKind kind, std::uint64_t key,
+        std::uint64_t value)
+{
+    switch (kind) {
+      case OpKind::Insert:
+        return ops.insert(t, key, value);
+      case OpKind::Remove:
+        return ops.remove(t, key);
+      case OpKind::Contains:
+        break;
+    }
+    return ops.contains(t, key);
+}
+
+/**
+ * Build @p cfg's structure through @p t and populate it from the
+ * populate stream (seed*7919+1) until initialSize inserts were fresh.
+ * With recordOps, each insert is appended to @p log as an epoch-0
+ * record of core 0.
+ */
+DsInstance populateDs(TmExec &t, const OpMixConfig &cfg,
+                      std::vector<OpRecord> &log);
+
+/**
+ * Thread @p tid's measured share: totalOps/threads ops drawn from
+ * stream seed + 104729*(tid+1), keys in [lo, lo + span), updatePct %
+ * updates split evenly between inserts and removes so the population
+ * stays near its initial size. With recordOps, each op is appended to
+ * @p log as an epoch-1 record of core @p tid.
+ */
+void runOpMix(TmExec &t, const DsOps &ops, const OpMixConfig &cfg,
+              unsigned tid, std::uint64_t lo, std::uint64_t span,
+              std::vector<OpRecord> &log);
 
 } // namespace hastm
 

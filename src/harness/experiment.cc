@@ -1,25 +1,10 @@
 #include "harness/experiment.hh"
 
 #include <chrono>
-#include <memory>
 
 #include "sim/logging.hh"
-#include "workloads/bst.hh"
-#include "workloads/btree.hh"
-#include "workloads/hashtable.hh"
 
 namespace hastm {
-
-const char *
-workloadName(WorkloadKind k)
-{
-    switch (k) {
-      case WorkloadKind::HashTable: return "hashtable";
-      case WorkloadKind::Bst:       return "bst";
-      case WorkloadKind::Btree:     return "btree";
-      default:                      return "unknown";
-    }
-}
 
 namespace {
 
@@ -98,62 +83,19 @@ runDataStructure(const ExperimentConfig &cfg)
 
     // ---- build + populate (thread 0), warming the caches ----
     DsInstance ds;
-    DsOps &ops = ds.ops;
     machine.run({[&](Core &core) {
-        TmThread &t = session.threadFor(core);
-        ds = makeDs(t, cfg.workload, cfg.hashBuckets);
-        Rng rng(cfg.seed * 7919 + 1);
-        std::uint64_t inserted = 0;
-        while (inserted < cfg.initialSize) {
-            std::uint64_t key = rng.range(cfg.keyRange);
-            std::uint64_t val = key * 3 + 1;
-            bool fresh = ops.insert(t, key, val);
-            if (cfg.recordOps) {
-                opLogs[0].push_back({t.commitStamp(), 0, 0,
-                                     OpKind::Insert, key, val, fresh,
-                                     opLogs[0].size()});
-            }
-            if (fresh)
-                ++inserted;
-        }
+        ds = populateDs(session.threadFor(core), cfg, opLogs[0]);
     }});
 
     machine.resetCounters();
     session.resetStats();
 
     // ---- measured phase: fixed total work split across threads ----
-    std::uint64_t per_thread = cfg.totalOps / cfg.threads;
     std::vector<std::function<void(Core &)>> bodies;
     for (unsigned tid = 0; tid < cfg.threads; ++tid) {
         bodies.push_back([&, tid](Core &core) {
-            TmThread &t = session.threadFor(core);
-            Rng rng(cfg.seed + 104729ull * (tid + 1));
-            auto record = [&](OpKind kind, std::uint64_t key,
-                              std::uint64_t val, bool res) {
-                if (cfg.recordOps) {
-                    opLogs[tid].push_back({t.commitStamp(), tid, 1,
-                                           kind, key, val, res,
-                                           opLogs[tid].size()});
-                }
-            };
-            for (std::uint64_t i = 0; i < per_thread; ++i) {
-                std::uint64_t key = rng.range(cfg.keyRange);
-                std::uint64_t dice = rng.range(100);
-                if (dice < cfg.updatePct) {
-                    // Updates split between inserts and removes so
-                    // the population stays near its initial size.
-                    if (rng.chancePct(50)) {
-                        record(OpKind::Insert, key, key ^ dice,
-                               ops.insert(t, key, key ^ dice));
-                    } else {
-                        record(OpKind::Remove, key, 0,
-                               ops.remove(t, key));
-                    }
-                } else {
-                    record(OpKind::Contains, key, 0,
-                           ops.contains(t, key));
-                }
-            }
+            runOpMix(session.threadFor(core), ds.ops, cfg, tid, 0,
+                     cfg.keyRange, opLogs[tid]);
         });
     }
     machine.run(bodies);
@@ -167,9 +109,9 @@ runDataStructure(const ExperimentConfig &cfg)
     // forever), and the measured phase is over anyway.
     machine.run({[&](Core &core) {
         SeqThread verifier(core, session.globals());
-        result.checksum = ops.checksum(verifier);
-        result.finalSize = ops.size(verifier);
-        result.invariantOk = ops.invariant(verifier);
+        result.checksum = ds.ops.checksum(verifier);
+        result.finalSize = ds.ops.size(verifier);
+        result.invariantOk = ds.ops.invariant(verifier);
     }});
 
     // ---- replay oracle: every observed result vs a sequential spec ----

@@ -28,27 +28,12 @@
 
 namespace hastm {
 
-/** Which data structure the experiment drives. */
 /** Full configuration of one experiment run. */
-struct ExperimentConfig
+struct ExperimentConfig : OpMixConfig
 {
-    WorkloadKind workload = WorkloadKind::Bst;
     TmScheme scheme = TmScheme::Stm;
-    unsigned threads = 1;
-    std::uint64_t totalOps = 4096;
-    unsigned updatePct = 20;        //!< paper: 20 % of operations update
-    std::uint64_t initialSize = 1024;
-    std::uint64_t keyRange = 8192;
-    std::uint64_t seed = 42;
-    unsigned hashBuckets = 256;
     MachineParams machine;          //!< mem.numCores overridden by threads
     StmConfig stm;
-    /**
-     * Record every committed operation and replay the log against the
-     * sequential specification after the run (harness/oracle.hh).
-     * Host-side only — recording charges no simulated cycles.
-     */
-    bool recordOps = false;
 };
 
 /** Measured outcome of one experiment. */

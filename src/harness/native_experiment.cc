@@ -12,7 +12,6 @@
 #include "backend/native_backend.hh"
 #include "backend/sim_backend.hh"
 #include "sim/logging.hh"
-#include "sim/rng.hh"
 
 namespace hastm {
 
@@ -58,10 +57,12 @@ pinToCpuSlot(unsigned slot)
 #endif
 }
 
-} // namespace
-
+/**
+ * The native runner. crossValidateNative differs from a plain run only
+ * in asking the verdict for the sim replay.
+ */
 NativeExperimentResult
-runNativeDataStructure(const NativeExperimentConfig &cfg)
+runNative(const NativeExperimentConfig &cfg, bool sim_replay)
 {
     HASTM_ASSERT(cfg.threads >= 1);
     NativeSessionConfig nc;
@@ -75,28 +76,10 @@ runNativeDataStructure(const NativeExperimentConfig &cfg)
 
     // ---- build + populate (thread 0): same stream as the sim runner ----
     DsInstance ds;
-    DsOps &ops = ds.ops;
-    backend.run({[&](TmExec &t) {
-        ds = makeDs(t, cfg.workload, cfg.hashBuckets);
-        Rng rng(cfg.seed * 7919 + 1);
-        std::uint64_t inserted = 0;
-        while (inserted < cfg.initialSize) {
-            std::uint64_t key = rng.range(cfg.keyRange);
-            std::uint64_t val = key * 3 + 1;
-            bool fresh = ops.insert(t, key, val);
-            if (cfg.recordOps) {
-                opLogs[0].push_back({t.commitStamp(), 0, 0,
-                                     OpKind::Insert, key, val, fresh,
-                                     opLogs[0].size()});
-            }
-            if (fresh)
-                ++inserted;
-        }
-    }});
+    backend.run({[&](TmExec &t) { ds = populateDs(t, cfg, opLogs[0]); }});
     backend.resetStats();
 
     // ---- measured phase: fixed total work split across threads ----
-    std::uint64_t per_thread = cfg.totalOps / cfg.threads;
     std::vector<std::function<void(TmExec &)>> bodies;
     for (unsigned tid = 0; tid < cfg.threads; ++tid) {
         bodies.push_back([&, tid](TmExec &t) {
@@ -104,15 +87,6 @@ runNativeDataStructure(const NativeExperimentConfig &cfg)
             // must not change; spawned workers exit with the run.
             if (cfg.threads > 1)
                 pinToCpuSlot(tid);
-            Rng rng(cfg.seed + 104729ull * (tid + 1));
-            auto record = [&](OpKind kind, std::uint64_t key,
-                              std::uint64_t val, bool res) {
-                if (cfg.recordOps) {
-                    opLogs[tid].push_back({t.commitStamp(), tid, 1,
-                                           kind, key, val, res,
-                                           opLogs[tid].size()});
-                }
-            };
             // Disjoint mix: thread t owns keyRange/threads keys.
             std::uint64_t lo = 0, span = cfg.keyRange;
             if (cfg.disjoint && cfg.threads > 1) {
@@ -121,22 +95,7 @@ runNativeDataStructure(const NativeExperimentConfig &cfg)
                     span = 1;
                 lo = span * tid;
             }
-            for (std::uint64_t i = 0; i < per_thread; ++i) {
-                std::uint64_t key = lo + rng.range(span);
-                std::uint64_t dice = rng.range(100);
-                if (dice < cfg.updatePct) {
-                    if (rng.chancePct(50)) {
-                        record(OpKind::Insert, key, key ^ dice,
-                               ops.insert(t, key, key ^ dice));
-                    } else {
-                        record(OpKind::Remove, key, 0,
-                               ops.remove(t, key));
-                    }
-                } else {
-                    record(OpKind::Contains, key, 0,
-                           ops.contains(t, key));
-                }
-            }
+            runOpMix(t, ds.ops, cfg, tid, lo, span, opLogs[tid]);
         });
     }
     std::uint64_t t0 = hostNowNanos();
@@ -145,8 +104,8 @@ runNativeDataStructure(const NativeExperimentConfig &cfg)
 
     NativeExperimentResult result;
     result.tm = backend.totalStats();
-    // Per-thread capture must happen here too: the verification phase
-    // below runs on thread 0 and would pollute its counters.
+    // Per-thread capture must happen here too: the verdict below runs
+    // on thread 0 and would pollute its counters.
     result.perThread.resize(cfg.threads);
     for (unsigned tid = 0; tid < cfg.threads; ++tid) {
         const TmStats &ts = backend.thread(tid).stats();
@@ -159,55 +118,108 @@ runNativeDataStructure(const NativeExperimentConfig &cfg)
     }
     result.hostNanos = t1 - t0;
     if (result.hostNanos > 0) {
-        result.opsPerSec = double(per_thread * cfg.threads) * 1e9 /
-                           double(result.hostNanos);
+        std::uint64_t done = cfg.totalOps / cfg.threads * cfg.threads;
+        result.opsPerSec = double(done) * 1e9 / double(result.hostNanos);
     }
 
-    // ---- post-run verification (single-threaded, still transactional:
-    // the native STM has no capacity bound, so whole-structure walks
-    // are safe here) ----
-    backend.run({[&](TmExec &t) {
-        result.checksum = ops.checksum(t);
-        result.finalSize = ops.size(t);
-        result.invariantOk = ops.invariant(t);
-    }});
-
-    // ---- native protocol invariant sweep (always on; the session is
-    // quiescent here, every body joined) ----
+    // ---- verdict (single-threaded, still transactional: the native
+    // STM has no capacity bound, so whole-structure walks are safe) ----
+    if (cfg.recordOps) {
+        for (auto &l : opLogs)
+            result.opLog.insert(result.opLog.end(), l.begin(), l.end());
+    }
     NativeSession &sess = backend.session();
-    for (unsigned tid = 0; tid < cfg.threads; ++tid) {
-        std::string diag = sess.thread(tid).invariantReport();
-        if (!diag.empty()) {
-            result.nativeInvariantsOk = false;
-            if (!result.nativeInvariantDiag.empty())
-                result.nativeInvariantDiag += " | ";
-            result.nativeInvariantDiag +=
-                "thread " + std::to_string(tid) + ": " + diag;
-        }
-    }
-    if (!sess.runtime().gate().quiescent()) {
-        result.nativeInvariantsOk = false;
-        if (!result.nativeInvariantDiag.empty())
-            result.nativeInvariantDiag += " | ";
-        result.nativeInvariantDiag += "gate not quiescent";
-    }
+    static_cast<NativeRunVerdict &>(result) = checkNativeRun(
+        sess, ds.ops, cfg.recordOps ? &result.opLog : nullptr,
+        cfg.workload, cfg.hashBuckets, cfg.seed, sim_replay);
     if (NativeFaultInjector *inj = sess.runtime().fault())
         result.faultSequenceHash = inj->sequenceHashAll();
+    return result;
+}
+
+} // namespace
+
+std::string
+NativeRunVerdict::diag() const
+{
+    if (!nativeInvariantsOk)
+        return "native invariants: " + nativeInvariantDiag;
+    if (!oracleOk)
+        return "oracle: " + oracleDiag;
+    if (!simReplayOk)
+        return "sim replay: " + simReplayDiag;
+    return {};
+}
+
+NativeRunVerdict
+checkNativeRun(NativeSession &sess, const DsOps &ops,
+               std::vector<OpRecord> *log, WorkloadKind workload,
+               unsigned hash_buckets, std::uint64_t seed, bool sim_replay)
+{
+    NativeRunVerdict v;
+
+    // ---- native protocol invariant sweep ----
+    auto leak = [&](const std::string &what) {
+        v.nativeInvariantsOk = false;
+        if (!v.nativeInvariantDiag.empty())
+            v.nativeInvariantDiag += " | ";
+        v.nativeInvariantDiag += what;
+    };
+    for (unsigned tid = 0; tid < sess.numThreads(); ++tid) {
+        std::string diag = sess.thread(tid).invariantReport();
+        if (!diag.empty())
+            leak("thread " + std::to_string(tid) + ": " + diag);
+    }
+    v.gateQuiescent = sess.runtime().gate().quiescent();
+    if (!v.gateQuiescent)
+        leak("gate not quiescent");
+
+    // ---- final state ----
+    TmExec &t0 = sess.thread(0);
+    v.checksum = ops.checksum(t0);
+    v.finalSize = ops.size(t0);
+    v.invariantOk = ops.invariant(t0);
+    if (!log)
+        return v;
 
     // ---- replay oracle over the serialization-ordered log ----
-    if (cfg.recordOps) {
-        for (auto &l : opLogs) {
-            result.opLog.insert(result.opLog.end(), l.begin(), l.end());
+    std::sort(log->begin(), log->end(), opOrderLess);
+    OracleOutcome oracle =
+        replayOps(*log, v.checksum, v.finalSize, v.invariantOk, seed);
+    v.oracleChecked = true;
+    v.oracleOk = oracle.ok;
+    v.oracleDiag = std::move(oracle.diag);
+
+    // ---- Sequential-sim replay ----
+    if (sim_replay) {
+        SimBackendConfig sc;
+        sc.session.scheme = TmScheme::Sequential;
+        sc.session.numThreads = 1;
+        SimBackend sim(sc);
+        ReplayOutcome rep =
+            replayThroughBackend(sim, workload, hash_buckets, *log);
+        v.simReplayChecked = true;
+        if (!rep.ok) {
+            v.simReplayDiag = rep.diag;
+        } else if (!rep.invariantOk) {
+            v.simReplayDiag = "broke the structural invariant";
+        } else if (rep.finalSize != v.finalSize ||
+                   rep.checksum != v.checksum) {
+            std::ostringstream ss;
+            ss << "final state differs: native size=" << v.finalSize
+               << " checksum=" << v.checksum << ", sim size="
+               << rep.finalSize << " checksum=" << rep.checksum;
+            v.simReplayDiag = ss.str();
         }
-        std::sort(result.opLog.begin(), result.opLog.end(), opOrderLess);
-        OracleOutcome verdict =
-            replayOps(result.opLog, result.checksum, result.finalSize,
-                      result.invariantOk, cfg.seed);
-        result.oracleChecked = true;
-        result.oracleOk = verdict.ok;
-        result.oracleDiag = std::move(verdict.diag);
+        v.simReplayOk = v.simReplayDiag.empty();
     }
-    return result;
+    return v;
+}
+
+NativeExperimentResult
+runNativeDataStructure(const NativeExperimentConfig &cfg)
+{
+    return runNative(cfg, false);
 }
 
 ReplayOutcome
@@ -220,19 +232,7 @@ replayThroughBackend(TmBackend &backend, WorkloadKind workload,
         DsInstance ds = makeDs(t, workload, hash_buckets);
         for (std::size_t i = 0; i < log.size(); ++i) {
             const OpRecord &op = log[i];
-            bool res;
-            switch (op.kind) {
-              case OpKind::Insert:
-                res = ds.ops.insert(t, op.key, op.value);
-                break;
-              case OpKind::Remove:
-                res = ds.ops.remove(t, op.key);
-                break;
-              case OpKind::Contains:
-              default:
-                res = ds.ops.contains(t, op.key);
-                break;
-            }
+            bool res = applyOp(t, ds.ops, op.kind, op.key, op.value);
             if (res != op.result) {
                 out.ok = false;
                 std::ostringstream ss;
@@ -256,62 +256,22 @@ replayThroughBackend(TmBackend &backend, WorkloadKind workload,
 }
 
 CrossCheckOutcome
-crossValidateNative(const NativeExperimentConfig &cfg)
-{
-    return crossValidateNative(cfg, nullptr);
-}
-
-CrossCheckOutcome
 crossValidateNative(const NativeExperimentConfig &cfg,
                     NativeExperimentResult *native_out)
 {
-    CrossCheckOutcome out;
-    auto fail = [&](const std::string &what) {
-        out.ok = false;
-        std::ostringstream ss;
-        ss << what << " [workload=" << workloadName(cfg.workload)
-           << " threads=" << cfg.threads << " seed=" << cfg.seed << "]";
-        out.diag = ss.str();
-    };
-
     NativeExperimentConfig ncfg = cfg;
     ncfg.recordOps = true;
-    NativeExperimentResult native = runNativeDataStructure(ncfg);
-    if (native_out)
-        *native_out = native;
-    if (!native.nativeInvariantsOk) {
-        fail("native invariants: " + native.nativeInvariantDiag);
-        return out;
-    }
-    if (!native.oracleOk) {
-        fail("native oracle: " + native.oracleDiag);
-        return out;
-    }
-
-    SimBackendConfig sc;
-    sc.session.scheme = TmScheme::Sequential;
-    sc.session.numThreads = 1;
-    SimBackend sim(sc);
-    ReplayOutcome rep = replayThroughBackend(sim, cfg.workload,
-                                             cfg.hashBuckets,
-                                             native.opLog);
-    if (!rep.ok) {
-        fail("sim replay diverged: " + rep.diag);
-        return out;
-    }
-    if (!rep.invariantOk) {
-        fail("sim replay broke the structural invariant");
-        return out;
-    }
-    if (rep.finalSize != native.finalSize ||
-        rep.checksum != native.checksum) {
+    NativeExperimentResult native = runNative(ncfg, true);
+    CrossCheckOutcome out;
+    if (!native.ok()) {
+        out.ok = false;
         std::ostringstream ss;
-        ss << "final state differs: native size=" << native.finalSize
-           << " checksum=" << native.checksum << ", sim size="
-           << rep.finalSize << " checksum=" << rep.checksum;
-        fail(ss.str());
-        return out;
+        ss << native.diag() << " [workload=" << workloadName(cfg.workload)
+           << " threads=" << cfg.threads << " seed=" << cfg.seed << "]";
+        out.diag = ss.str();
     }
+    if (native_out)
+        *native_out = std::move(native);
     return out;
 }
 

@@ -1,19 +1,25 @@
 /**
  * @file
- * Native-backend experiment driver plus the cross-backend replay.
+ * Native-backend experiment runner, the cross-backend replay, and the
+ * one end-of-run verdict every native run gets.
  *
  * runNativeDataStructure() is the host-thread counterpart of
- * runDataStructure(): the same populate/measure phases, the same Rng
- * streams (populate from seed*7919+1, thread t measured from
- * seed + 104729*(t+1)), the same op mix — so a sim run and a native
- * run of one config perform the identical multiset of operations and
- * differ only in interleaving. Because the native backend stamps
- * commits from one global counter at the serialization point, the
- * recorded op log admits the same replay-oracle check as the
- * simulator's, and — the stronger test — can be replayed through the
- * *simulated* backend to prove the two substrates implement the same
- * data-structure semantics (replayThroughBackend /
- * crossValidateNative).
+ * runDataStructure(): both run the shared op-mix body (populateDs /
+ * runOpMix in harness/ds_ops.hh), so a sim run and a native run of one
+ * config perform the identical multiset of operations and differ only
+ * in interleaving. Because the native backend stamps commits from one
+ * global counter at the serialization point, the recorded op log
+ * admits the same replay-oracle check as the simulator's, and — the
+ * stronger test — can be replayed through the *simulated* backend to
+ * prove the two substrates implement the same data-structure
+ * semantics (replayThroughBackend).
+ *
+ * checkNativeRun() is the verdict: the protocol-invariant sweep, the
+ * final structure state, the replay oracle and, when asked, the
+ * Sequential-sim replay. runNativeDataStructure, crossValidateNative,
+ * the service's native pool (NativeRequestExecutor::poolOutcome) and
+ * the torture campaign (bench/stress_native) all reach it, so a
+ * strengthened check lands everywhere at once.
  */
 
 #ifndef HASTM_HARNESS_NATIVE_EXPERIMENT_HH
@@ -31,17 +37,15 @@
 
 namespace hastm {
 
-/** Configuration of one native (host-thread) experiment run. */
-struct NativeExperimentConfig
+class NativeSession;
+
+/**
+ * Configuration of one native (host-thread) experiment run. recordOps
+ * also returns the serialization-ordered log in the result, for
+ * cross-backend replay.
+ */
+struct NativeExperimentConfig : OpMixConfig
 {
-    WorkloadKind workload = WorkloadKind::Bst;
-    unsigned threads = 1;
-    std::uint64_t totalOps = 4096;
-    unsigned updatePct = 20;        //!< paper: 20 % of operations update
-    std::uint64_t initialSize = 1024;
-    std::uint64_t keyRange = 8192;
-    std::uint64_t seed = 42;
-    unsigned hashBuckets = 256;
     StmConfig stm;
     std::size_t heapBytes = 64ull << 20;
     /**
@@ -52,12 +56,6 @@ struct NativeExperimentConfig
      * populate phase still covers the whole range.
      */
     bool disjoint = false;
-    /**
-     * Record every committed operation: run the replay oracle over
-     * the log and return it (serialization order) in the result for
-     * cross-backend replay.
-     */
-    bool recordOps = false;
     /**
      * Deterministic fault injection (native/native_fault.hh), applied
      * to the measured phase's session. Off by default; the torture
@@ -74,30 +72,64 @@ struct NativeThreadOutcome
     double abortRate = 0.0;       //!< aborts / (commits + aborts)
 };
 
-/** Measured outcome of one native experiment. */
-struct NativeExperimentResult
+/** The end-of-run verdict of one native run (checkNativeRun). */
+struct NativeRunVerdict
+{
+    /** Protocol invariant sweep, always on (NativeThread::
+     *  invariantReport per thread, NativeGate::quiescent). */
+    bool nativeInvariantsOk = true;
+    std::string nativeInvariantDiag;
+    bool gateQuiescent = true;
+
+    /** Final structure state, read through thread 0. */
+    std::uint64_t checksum = 0;
+    std::uint64_t finalSize = 0;
+    bool invariantOk = true;
+
+    /** Replay oracle (runs that recorded a log). */
+    bool oracleChecked = false;
+    bool oracleOk = true;
+    std::string oracleDiag;
+
+    /** Sequential-sim replay (when asked). */
+    bool simReplayChecked = false;
+    bool simReplayOk = true;
+    std::string simReplayDiag;
+
+    bool ok() const { return nativeInvariantsOk && oracleOk && simReplayOk; }
+
+    /** The first failing check, named; empty when ok(). */
+    std::string diag() const;
+};
+
+/**
+ * The verdict over a quiescent @p sess (every body joined) whose
+ * structure is reached through @p ops. Sweeps every thread's
+ * invariantReport() and the gate, reads the final checksum, size and
+ * invariant through thread 0 (transactions: they count in thread 0's
+ * stats), then, when @p log is non-null, sorts it into serialization
+ * order (opOrderLess) in place and replays it through the oracle
+ * (@p seed is echoed into its diagnostic) and, with @p sim_replay,
+ * through a one-core Sequential simulated backend, whose final size,
+ * checksum and invariant must match. Every check runs even after
+ * another failed.
+ */
+NativeRunVerdict checkNativeRun(NativeSession &sess, const DsOps &ops,
+                                std::vector<OpRecord> *log,
+                                WorkloadKind workload,
+                                unsigned hash_buckets, std::uint64_t seed,
+                                bool sim_replay);
+
+/** Measured outcome of one native experiment, with its verdict. */
+struct NativeExperimentResult : NativeRunVerdict
 {
     TmStats tm;
 
     /** Per-thread measured-phase commits/aborts (indexed by tid). */
     std::vector<NativeThreadOutcome> perThread;
-    std::uint64_t checksum = 0;      //!< final structure fingerprint
-    std::uint64_t finalSize = 0;
-    bool invariantOk = true;
-
-    // ---- oracle verdict (recordOps runs only) ----
-    bool oracleChecked = false;
-    bool oracleOk = true;
-    std::string oracleDiag;
 
     /** Serialization-ordered op log (recordOps runs only). */
     std::vector<OpRecord> opLog;
-
-    // ---- native protocol invariants (always-on, end-of-run) ----
-    /** Per-thread + gate invariant sweep verdict (see
-     *  NativeThread::invariantReport, NativeGate::quiescent). */
-    bool nativeInvariantsOk = true;
-    std::string nativeInvariantDiag;
 
     /** Combined injected-fault sequence fingerprint (0 when the run
      *  had no injector); bit-identical across replays of one
@@ -149,24 +181,17 @@ struct CrossCheckOutcome
 
 /**
  * The backend-equivalence check: run @p cfg natively with op
- * recording, then replay the serialized log through the simulated
- * backend (sequential scheme, one core) and require identical per-op
- * results and an identical final size/checksum. Any divergence means
- * one backend's barriers or one backend's data-structure execution
- * broke serializability.
+ * recording and require the whole verdict, sim replay included:
+ * identical per-op results and final size/checksum on the simulated
+ * backend, a clean oracle and a clean invariant sweep. Any divergence
+ * means one backend's barriers or one backend's data-structure
+ * execution broke serializability. @p native_out (may be null)
+ * receives the native run's full result, so a caller that needs the
+ * stats does not pay for a second native run.
  */
-CrossCheckOutcome crossValidateNative(const NativeExperimentConfig &cfg);
-
-/**
- * Same check, also returning the native run's full result through
- * @p native_out (may be null) so a caller that needs the stats — the
- * torture campaign reports fault counters, invariant verdicts, and
- * sequence hashes per cell — does not pay for a second native run.
- * The invariant sweep is folded into the verdict: a cell whose
- * replay matches but whose protocol state leaked still fails.
- */
-CrossCheckOutcome crossValidateNative(const NativeExperimentConfig &cfg,
-                                      NativeExperimentResult *native_out);
+CrossCheckOutcome
+crossValidateNative(const NativeExperimentConfig &cfg,
+                    NativeExperimentResult *native_out = nullptr);
 
 } // namespace hastm
 

@@ -150,12 +150,6 @@ toJson(const StmConfig &c)
         .set("recShardLog2Records", c.recShardLog2Records)
         .set("recHashMix", c.recHashMix)
         .set("recShardPerArena", c.recShardPerArena);
-    // Schema v7: native-backend protocol knobs.
-    j.set("nativeWriteBloomBits", c.nativeWriteBloomBits)
-        .set("nativeBackoffSpinsBase", c.nativeBackoffSpinsBase)
-        .set("nativeBackoffSpinsCap", c.nativeBackoffSpinsCap);
-    // Schema v8: serial-gate stall bound.
-    j.set("nativeGateStallMs", c.nativeGateStallMs);
     Json adaptive = Json::object();
     adaptive.set("window", c.adaptive.window)
         .set("probeEpoch", c.adaptive.probeEpoch)

@@ -70,8 +70,9 @@
  * on that substrate.
  *
  * v7 adds the native snapshot-clock protocol: StmConfig gains its
- * protocol-select flag (dropped in v12) and "nativeWriteBloomBits" /
- * "nativeBackoffSpinsBase" / "nativeBackoffSpinsCap", TmStats gains
+ * protocol-select flag (dropped in v12) and three native knobs, the
+ * write-set Bloom width and the backoff base and cap (dropped in
+ * v13), TmStats gains
  * the protocol counters "extensions" / "extensionFailures" /
  * "bloomFalsePositives" / "clockBumpsSkipped" (zero on the sim
  * backend),
@@ -81,8 +82,9 @@
  *
  * v8 adds the native torture harness: TmStats gains
  * "nativeFaultsInjected" (per-NativeFaultKind tallies, zero on the
- * sim backend and on un-tortured native runs), StmConfig gains
- * "nativeGateStallMs", NativeExperimentConfig gains "faultProfile" /
+ * sim backend and on un-tortured native runs), StmConfig gains the
+ * serial-gate stall bound (dropped in v13), NativeExperimentConfig
+ * gains "faultProfile" /
  * "faultSeed" (the pair that reproduces an injected-fault sequence
  * bit-identically), and NativeExperimentResult gains
  * "nativeInvariantsOk" (+"nativeInvariantDiag" when violated) and
@@ -129,6 +131,11 @@
  * xval/<workload>/seed<s>; stress_native <profile>/t<n>/seed<s>;
  * serve native/<load>/w<n>/seed<s>). Every other field serializes as
  * in v11.
+ *
+ * v13: StmConfig drops the four native knobs no run ever set (the v7
+ * Bloom width and backoff base/cap, the v8 gate stall bound); the
+ * native STM uses their old defaults as constants. Every other field
+ * serializes as in v12.
  */
 
 #ifndef HASTM_HARNESS_REPORT_HH
@@ -144,7 +151,7 @@
 namespace hastm {
 
 /** The report document format version (see the header comment). */
-constexpr unsigned kReportSchemaVersion = 12;
+constexpr unsigned kReportSchemaVersion = 13;
 
 Json toJson(const Histogram &h);
 Json toJson(const LatencyHistogram &h);

@@ -101,8 +101,8 @@ struct NativeFaultParams
     unsigned yieldMax = 4;
     /** Max iterations per SpinDelay burst (draw is 1..spinMax). */
     unsigned spinMax = 512;
-    /** Microseconds slept per GateStall (keep well under
-     *  StmConfig::nativeGateStallMs). */
+    /** Microseconds slept per GateStall (keep well under the serial
+     *  gate's 20 s park bound, NativeGate::setStallLimitMs). */
     unsigned gateStallUs = 200;
     /** Hook evaluations per starvation window; each window picks one
      *  victim thread (round-robin offset by the seed) that pays

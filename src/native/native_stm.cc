@@ -32,15 +32,12 @@ hostNow()
         .count();
 }
 
-/** Round @p bits up to a power of two, at least 64 (one word). */
-std::uint64_t
-bloomBitsFor(unsigned bits)
-{
-    std::uint64_t b = 64;
-    while (b < bits)
-        b <<= 1;
-    return b;
-}
+/**
+ * Contention backoff: spins before the first backoff step, and the cap
+ * the exponential doubling saturates at.
+ */
+constexpr std::uint64_t kBackoffSpinsBase = 64;
+constexpr std::uint64_t kBackoffSpinsCap = 8192;
 
 } // namespace
 
@@ -145,7 +142,6 @@ NativeRuntime::NativeRuntime(const StmConfig &cfg, std::size_t heap_bytes,
                                             : txrec::kDefaultLog2Records,
                cfg.recHashMix)
 {
-    gate_.setStallLimitMs(cfg_.nativeGateStallMs);
     if (!cfg_.tracePath.empty())
         trace_ = std::make_unique<TraceSink>(cfg_.tracePath);
     if (fault.enabled)
@@ -211,11 +207,6 @@ NativeThread::NativeThread(NativeRuntime &rt, unsigned id)
     readSet_ = std::make_unique<TxLog>(rt_.heap(), cursors_ + 0, 2);
     writeSet_ = std::make_unique<TxLog>(rt_.heap(), cursors_ + 8, 2);
     undoLog_ = std::make_unique<TxLog>(rt_.heap(), cursors_ + 16, 3);
-    if (rt_.cfg().nativeWriteBloomBits != 0) {
-        std::uint64_t bits = bloomBitsFor(rt_.cfg().nativeWriteBloomBits);
-        bloom_.assign(bits / 64, 0);
-        bloomMask_ = bits - 1;
-    }
 }
 
 NativeThread::~NativeThread()
@@ -756,22 +747,16 @@ NativeThread::contention(NRec rec)
 unsigned
 NativeThread::spinBudget(unsigned attempt) const
 {
-    const StmConfig &cfg = rt_.cfg();
-    std::uint64_t base =
-        cfg.nativeBackoffSpinsBase != 0 ? cfg.nativeBackoffSpinsBase : 1;
-    std::uint64_t cap = cfg.nativeBackoffSpinsCap > base
-                            ? cfg.nativeBackoffSpinsCap
-                            : base;
     unsigned shift = attempt < 16 ? attempt : 16;
-    std::uint64_t budget = base << shift;
-    if (budget >= cap)
-        return unsigned(cap);
+    std::uint64_t budget = kBackoffSpinsBase << shift;
+    if (budget >= kBackoffSpinsCap)
+        return unsigned(kBackoffSpinsCap);
     // Deterministic per-thread jitter (up to +50%, still capped):
     // decorrelates rivals that aborted in lockstep without making any
     // run depend on host entropy.
     std::uint64_t h = (jitter_ + attempt) * txrec::kHashMult;
     budget += (h >> 56) * budget / 512;
-    return unsigned(budget < cap ? budget : cap);
+    return unsigned(budget < kBackoffSpinsCap ? budget : kBackoffSpinsCap);
 }
 
 void
@@ -836,8 +821,8 @@ bool
 NativeThread::bloomTest(Addr data) const
 {
     std::uint64_t h = data * txrec::kHashMult;
-    std::uint64_t b1 = h & bloomMask_;
-    std::uint64_t b2 = (h >> 32) & bloomMask_;
+    std::uint64_t b1 = h & (kBloomBits - 1);
+    std::uint64_t b2 = (h >> 32) & (kBloomBits - 1);
     return (bloom_[b1 >> 6] >> (b1 & 63) & 1) &&
            (bloom_[b2 >> 6] >> (b2 & 63) & 1);
 }
@@ -846,8 +831,8 @@ void
 NativeThread::bloomSet(Addr data)
 {
     std::uint64_t h = data * txrec::kHashMult;
-    std::uint64_t b1 = h & bloomMask_;
-    std::uint64_t b2 = (h >> 32) & bloomMask_;
+    std::uint64_t b1 = h & (kBloomBits - 1);
+    std::uint64_t b2 = (h >> 32) & (kBloomBits - 1);
     bloom_[b1 >> 6] |= std::uint64_t(1) << (b1 & 63);
     bloom_[b2 >> 6] |= std::uint64_t(1) << (b2 & 63);
 }
@@ -855,36 +840,34 @@ NativeThread::bloomSet(Addr data)
 void
 NativeThread::bloomClear()
 {
-    std::fill(bloom_.begin(), bloom_.end(), 0);
+    bloom_.fill(0);
 }
 
 void
 NativeThread::undoAppend(Addr data, bool is_ptr)
 {
-    if (!bloom_.empty()) {
-        if (!bloomTest(data)) {
-            // A Bloom miss proves no undo entry for this address
-            // exists anywhere in the transaction: first write, log it.
-            bloomSet(data);
-        } else {
-            // Possible rewrite. Dedup is *frame*-scoped: only an
-            // entry logged by the innermost nesting frame may be
-            // elided — eliding against a parent frame's entry would
-            // make a partial abort of this frame skip restoring the
-            // value the parent saw. The filter is transaction-scoped
-            // (conservative), so a parent-frame entry shows up here
-            // as a false positive and is re-logged.
-            bool found = false;
-            undoLog_->forEach(undoFrameStart(), [&](Addr e) {
-                if (rt_.heap().loadWord(e) == data)
-                    found = true;
-            });
-            if (found) {
-                ++stats_.undoElided;
-                return;
-            }
-            ++stats_.bloomFalsePositives;
+    if (!bloomTest(data)) {
+        // A Bloom miss proves no undo entry for this address exists
+        // anywhere in the transaction: first write, log it.
+        bloomSet(data);
+    } else {
+        // Possible rewrite. Dedup is *frame*-scoped: only an entry
+        // logged by the innermost nesting frame may be elided —
+        // eliding against a parent frame's entry would make a partial
+        // abort of this frame skip restoring the value the parent
+        // saw. The filter is transaction-scoped (conservative), so a
+        // parent-frame entry shows up here as a false positive and is
+        // re-logged.
+        bool found = false;
+        undoLog_->forEach(undoFrameStart(), [&](Addr e) {
+            if (rt_.heap().loadWord(e) == data)
+                found = true;
+        });
+        if (found) {
+            ++stats_.undoElided;
+            return;
         }
+        ++stats_.bloomFalsePositives;
     }
     undoLog_->append3(data, rt_.heap().loadWord(data),
                       undometa::make(8, is_ptr));

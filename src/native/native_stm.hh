@@ -77,6 +77,7 @@
 #ifndef HASTM_NATIVE_NATIVE_STM_HH
 #define HASTM_NATIVE_NATIVE_STM_HH
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -181,8 +182,8 @@ inline std::uint64_t readerStamp(std::uint64_t s) { return 2 * s + 1; }
  * (waiters_, under the mutex), and depart() takes the mutex only
  * while the token is held.
  *
- * Waits are bounded (StmConfig::nativeGateStallMs, via
- * setStallLimitMs): a parked thread that outlives the limit fails
+ * Waits are bounded (20 s; tests shorten it with setStallLimitMs): a
+ * parked thread that outlives the limit fails
  * fast with the gate's full accounting (holder token, inflight and
  * waiter counts) rather than hanging CI forever behind a stalled
  * holder. A healthy transition is microseconds, so the generous
@@ -233,7 +234,7 @@ class NativeGate
     /** Release the token. */
     void exit();
 
-    /** Bound every future park to @p ms milliseconds (0 = untimed). */
+    /** Bound every future park to @p ms milliseconds (tests). */
     void
     setStallLimitMs(unsigned ms)
     {
@@ -275,13 +276,9 @@ class NativeGate
         if (pred())
             return;
         ++waiters_;
-        if (stallMs_ == 0) {
-            cv_.wait(lk, pred);
-        } else {
-            auto limit = std::chrono::milliseconds(stallMs_);
-            if (!cv_.wait_for(lk, limit, pred))
-                stallPanic(what);  // diagnostic + abort, never returns
-        }
+        auto limit = std::chrono::milliseconds(stallMs_);
+        if (!cv_.wait_for(lk, limit, pred))
+            stallPanic(what);  // diagnostic + abort, never returns
         --waiters_;
     }
 
@@ -313,7 +310,7 @@ class NativeGate
     std::condition_variable cv_;
     std::deque<PaddedSlot> slots_;  //!< stable addresses (deque)
     unsigned waiters_ = 0;
-    unsigned stallMs_ = 20000;  //!< StmConfig::nativeGateStallMs
+    unsigned stallMs_ = 20000;  //!< park bound (setStallLimitMs)
 };
 
 /**
@@ -745,13 +742,14 @@ class alignas(64) NativeThread : public TmExec
     std::unique_ptr<TxLog> undoLog_;   //!< [addr][old][meta]
 
     /**
-     * Write-set Bloom filter over undo-logged addresses (empty when
-     * disabled). Never a false negative: a miss proves the address
-     * has no undo entry anywhere in this transaction, so the append
-     * fast path skips the log scan entirely.
+     * Write-set Bloom filter over undo-logged addresses, kBloomBits
+     * wide with two probes per address. Never a false negative: a miss
+     * proves the address has no undo entry anywhere in this
+     * transaction, so the append fast path skips the log scan
+     * entirely; a hit falls back to the scan.
      */
-    std::vector<std::uint64_t> bloom_;
-    std::uint64_t bloomMask_ = 0;  //!< bit-index mask (bits - 1)
+    static constexpr std::uint64_t kBloomBits = 1024;
+    std::array<std::uint64_t, kBloomBits / 64> bloom_{};
 
     std::unordered_map<NRec, std::uint64_t> ownedVersions_;
     std::vector<Addr> txAllocs_;

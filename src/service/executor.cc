@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "harness/native_experiment.hh"
 #include "service/worker_pool.hh"
 #include "sim/logging.hh"
 
@@ -62,17 +61,7 @@ ExecOutcome
 runOp(TmExec &t, const DsOps &ops, const ServiceRequest &req)
 {
     ExecOutcome o;
-    switch (req.op) {
-      case OpKind::Contains:
-        o.opResult = ops.contains(t, req.key);
-        break;
-      case OpKind::Insert:
-        o.opResult = ops.insert(t, req.key, req.value);
-        break;
-      case OpKind::Remove:
-        o.opResult = ops.remove(t, req.key);
-        break;
-    }
+    o.opResult = applyOp(t, ops, req.op, req.key, req.value);
     return o;
 }
 
@@ -204,58 +193,13 @@ NativeRequestExecutor::poolOutcome()
             ? double(executed) * 1e9 / double(po.wallHostNs)
             : 0.0;
 
-    auto fail = [&](const std::string &what) {
-        if (po.diag.empty())
-            po.diag = what;
-    };
-
-    // ---- native protocol invariant sweep (always on) ----
-    NativeSession &sess = backend_->session();
-    for (unsigned tid = 0; tid < sess.numThreads(); ++tid) {
-        std::string diag = sess.thread(tid).invariantReport();
-        if (!diag.empty()) {
-            po.nativeInvariantsOk = false;
-            fail("thread " + std::to_string(tid) + ": " + diag);
-        }
-    }
-    if (!sess.runtime().gate().quiescent()) {
-        po.nativeInvariantsOk = false;
-        fail("gate not quiescent");
-    }
-
-    // ---- replay oracle over the merged, serialization-ordered log ----
     std::vector<OpRecord> log = popLog_;
     for (const std::vector<OpRecord> &l : logs_)
         log.insert(log.end(), l.begin(), l.end());
-    std::sort(log.begin(), log.end(), opOrderLess);
     po.opsRecorded = log.size();
-    TmExec &t0 = backend_->thread(0);
-    std::uint64_t cks = ds_.ops.checksum(t0);
-    std::uint64_t sz = ds_.ops.size(t0);
-    bool inv = ds_.ops.invariant(t0);
-    OracleOutcome oo = replayOps(log, cks, sz, inv, workload_.seed);
-    po.oracleChecked = true;
-    po.oracleOk = oo.ok;
-    if (!oo.ok)
-        fail("oracle: " + oo.diag);
-
-    // ---- sim-replay cross-validation (fibers; off under TSan) ----
-    if (simReplay_) {
-        SimBackendConfig sc;
-        sc.session.scheme = TmScheme::Sequential;
-        sc.session.numThreads = 1;
-        SimBackend sim(sc);
-        ReplayOutcome rep = replayThroughBackend(
-            sim, workload_.workload, workload_.hashBuckets, log);
-        po.simReplayChecked = true;
-        po.simReplayOk = rep.ok && rep.invariantOk &&
-                         rep.checksum == cks && rep.finalSize == sz;
-        if (!po.simReplayOk) {
-            fail("sim replay: " +
-                 (rep.diag.empty() ? std::string("final state differs")
-                                   : rep.diag));
-        }
-    }
+    static_cast<NativeRunVerdict &>(po) = checkNativeRun(
+        backend_->session(), ds_.ops, &log, workload_.workload,
+        workload_.hashBuckets, workload_.seed, simReplay_);
     return po;
 }
 
@@ -284,13 +228,6 @@ NativeRequestExecutor::invariant()
 {
     quiesce();
     return ds_.ops.invariant(backend_->thread(0));
-}
-
-bool
-NativeRequestExecutor::gateQuiescent()
-{
-    quiesce();
-    return backend_->session().runtime().gate().quiescent();
 }
 
 // ---- SimRequestExecutor ----

@@ -50,7 +50,7 @@
 #include "backend/native_backend.hh"
 #include "backend/sim_backend.hh"
 #include "harness/ds_ops.hh"
-#include "harness/oracle.hh"
+#include "harness/native_experiment.hh"
 #include "service/arrival.hh"
 
 namespace hastm {
@@ -196,13 +196,13 @@ struct PoolWorkerStats
 
 /**
  * End-of-run report of the native pool: per-worker host occupancy
- * plus the three-way validation verdict — the replay oracle over the
- * recorded op log, the optional sim-replay cross-validation, and the
- * native protocol invariant sweep. It stands in for bit-identical
- * fingerprints when workers > 1 and is checked at every worker
- * count. enabled stays false for the sim executor.
+ * plus the native-run verdict (checkNativeRun) over the recorded op
+ * log — the native protocol invariant sweep, the replay oracle and
+ * the optional sim-replay cross-validation. It stands in for
+ * bit-identical fingerprints when workers > 1 and is checked at every
+ * worker count. enabled stays false for the sim executor.
  */
-struct PoolOutcome
+struct PoolOutcome : NativeRunVerdict
 {
     bool enabled = false;
     unsigned workers = 0;
@@ -210,12 +210,6 @@ struct PoolOutcome
     std::uint64_t wallHostNs = 0;       //!< populate -> quiesce
     double execPerHostSec = 0.0;        //!< executed / host wall sec
     std::uint64_t opsRecorded = 0;      //!< populate + request ops
-    bool oracleChecked = false;
-    bool oracleOk = true;
-    bool simReplayChecked = false;
-    bool simReplayOk = true;
-    bool nativeInvariantsOk = true;
-    std::string diag;                   //!< first failure, when any
 };
 
 /** One backend's request-execution engine for the service. */
@@ -255,7 +249,6 @@ class RequestExecutor
     virtual std::uint64_t checksum() = 0;
     virtual std::uint64_t size() = 0;
     virtual bool invariant() = 0;
-    virtual bool gateQuiescent() { return true; }
 };
 
 /**
@@ -287,7 +280,6 @@ class NativeRequestExecutor : public RequestExecutor
     std::uint64_t checksum() override;
     std::uint64_t size() override;
     bool invariant() override;
-    bool gateQuiescent() override;
 
   private:
     ExecOutcome runOne(unsigned worker, const ServiceRequest &req);

@@ -390,11 +390,11 @@ ServiceRun::run()
     // on either backend.
     r_.pool = exec_.poolOutcome();
     r_.fingerprintExempt = r_.pool.enabled && r_.pool.workers > 1;
+    r_.gateQuiescent = r_.pool.gateQuiescent;  // true for the sim
     r_.tm = exec_.totalStats();
     r_.finalSize = exec_.size();
     r_.checksum = exec_.checksum();
     r_.invariantOk = exec_.invariant();
-    r_.gateQuiescent = exec_.gateQuiescent();
     if (sink_)
         sink_->flush();
     return std::move(r_);
@@ -583,8 +583,8 @@ toJson(const ServiceResult &r)
             .set("simReplayChecked", r.pool.simReplayChecked)
             .set("simReplayOk", r.pool.simReplayOk)
             .set("nativeInvariantsOk", r.pool.nativeInvariantsOk);
-        if (!r.pool.diag.empty())
-            pool.set("diag", r.pool.diag);
+        if (!r.pool.ok())
+            pool.set("diag", r.pool.diag());
         j.set("pool", std::move(pool));
     }
     return j;

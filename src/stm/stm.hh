@@ -61,34 +61,6 @@ struct StmConfig
     unsigned watchdogConsecAborts = 64;
     /** Same, for total aborts since the last successful commit. */
     unsigned watchdogRetriesPerCommit = 256;
-    // ---- native-backend protocol knobs (native/native_stm.hh) ----
-    /**
-     * Bits in the native backend's per-thread write-set Bloom filter
-     * (rounded up to a power of two, minimum 64). A write whose
-     * address misses the filter is definitely not yet undo-logged in
-     * the current nesting frame and appends without scanning; a hit
-     * falls back to an undo-log scan (a false positive costs the scan,
-     * never correctness). 0 disables filtering and always appends.
-     */
-    unsigned nativeWriteBloomBits = 1024;
-    /**
-     * Native contention backoff: spins before the first backoff step
-     * and the cap the exponential doubling saturates at. Each step
-     * adds deterministic per-thread jitter (hashed thread id) so
-     * colliding threads desynchronise. Setting base == cap reproduces
-     * the PR 6 fixed-spin behavior (no jitter, no growth).
-     */
-    unsigned nativeBackoffSpinsBase = 64;
-    unsigned nativeBackoffSpinsCap = 8192;
-    /**
-     * Upper bound (milliseconds) any native thread will block waiting
-     * on a serial-gate transition before failing fast with a
-     * diagnostic (holder token, inflight and waiter counts) instead
-     * of hanging CI forever behind a stalled holder. Generous by
-     * default — a healthy gate transition is microseconds — and 0
-     * restores the untimed wait.
-     */
-    unsigned nativeGateStallMs = 20000;
     /**
      * TEST-ONLY: skip commit-time validation, making the STM
      * deliberately unsound so the adversarial oracle can prove it

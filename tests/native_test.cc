@@ -756,16 +756,14 @@ TEST(NativeClockDeathTest, WriterPastMaxTimePanics)
 
 TEST(NativeBloom, TinyFilterFallsBackToLogScanNeverFalseNegative)
 {
-    // A 64-bit filter saturates long before 300 distinct addresses:
-    // later first-writes hit the filter, scan the log, find nothing,
-    // and append anyway (counted false positives). A false NEGATIVE
-    // would skip an undo entry and the abort below would fail to
-    // restore some word — the value checks have teeth.
-    NativeSessionConfig cfg = nativeCfg(1);
-    cfg.stm.nativeWriteBloomBits = 64;
-    NativeBackend b(cfg);
+    // 4096 distinct addresses saturate the 1024-bit filter: later
+    // first-writes hit the filter, scan the log, find nothing, and
+    // append anyway (counted false positives). A false NEGATIVE would
+    // skip an undo entry and the abort below would fail to restore
+    // some word — the value checks have teeth.
+    NativeBackend b(nativeCfg(1));
     b.run({[&](TmExec &t) {
-        constexpr unsigned kWords = 300;
+        constexpr unsigned kWords = 4096;
         Addr big = t.txAlloc(8 * kWords);
         t.atomic([&] {
             for (unsigned i = 0; i < kWords; ++i)
@@ -785,28 +783,6 @@ TEST(NativeBloom, TinyFilterFallsBackToLogScanNeverFalseNegative)
         });
         EXPECT_GT(t.stats().bloomFalsePositives, 0u);
         EXPECT_GE(t.stats().undoElided, kWords);
-    }});
-}
-
-TEST(NativeBloom, DisabledFilterLogsDuplicatesAndStillRestores)
-{
-    // nativeWriteBloomBits = 0 turns dedup off entirely: duplicate
-    // writes each log an undo entry, and the newest-first reverse
-    // walk still lands on the pre-transaction value.
-    NativeSessionConfig cfg = nativeCfg(1);
-    cfg.stm.nativeWriteBloomBits = 0;
-    NativeBackend b(cfg);
-    b.run({[&](TmExec &t) {
-        Addr obj = t.txAlloc(32);
-        t.atomic([&] { t.writeField(obj, 0, 7); });
-        t.atomic([&] {
-            t.writeField(obj, 0, 100);
-            t.writeField(obj, 0, 200);
-            t.userAbort();
-        });
-        t.atomic([&] { EXPECT_EQ(t.readField(obj, 0), 7u); });
-        EXPECT_EQ(t.stats().undoElided, 0u);
-        EXPECT_EQ(t.stats().bloomFalsePositives, 0u);
     }});
 }
 
@@ -961,6 +937,100 @@ TEST(CrossValidation, ReplayDetectsATamperedLog)
         sim, cfg.workload, cfg.hashBuckets, r.opLog);
     EXPECT_FALSE(rep.ok);
     EXPECT_NE(rep.diag.find("replay op"), std::string::npos) << rep.diag;
+}
+
+// ------------------------------------------------ the shared verdict
+
+/** A small contended 2-thread hash-table mix for the verdict tests. */
+OpMixConfig
+verdictMix()
+{
+    OpMixConfig mix;
+    mix.workload = WorkloadKind::HashTable;
+    mix.threads = 2;
+    mix.totalOps = 300;
+    mix.updatePct = 40;
+    mix.initialSize = 32;
+    mix.keyRange = 64;
+    mix.hashBuckets = 8;
+    mix.recordOps = true;
+    return mix;
+}
+
+/** Run @p mix for real on @p b, building @p ds; returns the op log. */
+std::vector<OpRecord>
+recordRun(NativeBackend &b, const OpMixConfig &mix, DsInstance &ds)
+{
+    std::vector<std::vector<OpRecord>> logs(mix.threads);
+    b.run({[&](TmExec &t) { ds = populateDs(t, mix, logs[0]); }});
+    std::vector<std::function<void(TmExec &)>> bodies;
+    for (unsigned tid = 0; tid < mix.threads; ++tid) {
+        bodies.push_back([&, tid](TmExec &t) {
+            runOpMix(t, ds.ops, mix, tid, 0, mix.keyRange, logs[tid]);
+        });
+    }
+    b.run(bodies);
+    std::vector<OpRecord> log;
+    for (const std::vector<OpRecord> &l : logs)
+        log.insert(log.end(), l.begin(), l.end());
+    return log;
+}
+
+TEST(CrossValidation, VerdictFailsOracleAndSimReplayOnAFlippedResult)
+{
+    // The shared verdict must have teeth on a real run: a clean log
+    // passes, and one flipped result fails both the oracle and the
+    // sim replay, each naming the op.
+    OpMixConfig mix = verdictMix();
+    NativeBackend b(nativeCfg(mix.threads));
+    DsInstance ds;
+    std::vector<OpRecord> log = recordRun(b, mix, ds);
+    NativeRunVerdict clean =
+        checkNativeRun(b.session(), ds.ops, &log, mix.workload,
+                       mix.hashBuckets, mix.seed, true);
+    ASSERT_TRUE(clean.ok()) << clean.diag();
+    ASSERT_TRUE(clean.simReplayChecked);
+
+    OpRecord &op = log[log.size() / 2];
+    op.result = !op.result;
+    std::string named = std::string("(") + opKindName(op.kind) +
+                        " key=" + std::to_string(op.key) + " ";
+    NativeRunVerdict v = checkNativeRun(b.session(), ds.ops, &log,
+                                        mix.workload, mix.hashBuckets,
+                                        mix.seed, true);
+    EXPECT_TRUE(v.nativeInvariantsOk) << v.nativeInvariantDiag;
+    EXPECT_FALSE(v.oracleOk);
+    EXPECT_FALSE(v.simReplayOk);
+    EXPECT_FALSE(v.ok());
+    EXPECT_NE(v.oracleDiag.find(named), std::string::npos) << v.oracleDiag;
+    EXPECT_NE(v.simReplayDiag.find(named), std::string::npos)
+        << v.simReplayDiag;
+    EXPECT_EQ(v.diag().rfind("oracle: ", 0), 0u) << v.diag();
+}
+
+TEST(NativeVerdict, GateSlotLeftSetFailsTheSweep)
+{
+    // An arrival flag nobody cleared (a thread that never departed)
+    // must fail the invariant sweep even though the replay is clean.
+    OpMixConfig mix = verdictMix();
+    NativeBackend b(nativeCfg(mix.threads));
+    DsInstance ds;
+    std::vector<OpRecord> log = recordRun(b, mix, ds);
+    NativeGate::Slot &stray = b.session().runtime().gate().registerSlot();
+    stray.store(true);
+    NativeRunVerdict v = checkNativeRun(b.session(), ds.ops, &log,
+                                        mix.workload, mix.hashBuckets,
+                                        mix.seed, false);
+    stray.store(false);
+    EXPECT_FALSE(v.gateQuiescent);
+    EXPECT_FALSE(v.nativeInvariantsOk);
+    EXPECT_NE(v.nativeInvariantDiag.find("gate not quiescent"),
+              std::string::npos)
+        << v.nativeInvariantDiag;
+    EXPECT_TRUE(v.oracleOk) << v.oracleDiag;
+    EXPECT_FALSE(v.simReplayChecked);
+    EXPECT_FALSE(v.ok());
+    EXPECT_EQ(v.diag().rfind("native invariants: ", 0), 0u) << v.diag();
 }
 
 } // namespace

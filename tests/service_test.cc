@@ -708,7 +708,7 @@ TEST(Service, NativeGateOverloadEscalatesAndRecovers)
     EXPECT_EQ(o.commits, 1u);
     TmStats after = exec.totalStats();
     EXPECT_EQ(after.irrevocableEntries, before.irrevocableEntries);
-    EXPECT_TRUE(exec.gateQuiescent());
+    EXPECT_TRUE(exec.poolOutcome().gateQuiescent);
 }
 
 ServiceConfig
@@ -885,10 +885,10 @@ TEST(Service, PooledNativeRunValidatesWithoutFingerprint)
     ASSERT_TRUE(r.pool.enabled);
     EXPECT_EQ(r.pool.workers, 2u);
     EXPECT_TRUE(r.pool.oracleChecked);
-    EXPECT_TRUE(r.pool.oracleOk) << r.pool.diag;
+    EXPECT_TRUE(r.pool.oracleOk) << r.pool.diag();
     EXPECT_TRUE(r.pool.simReplayChecked);
-    EXPECT_TRUE(r.pool.simReplayOk) << r.pool.diag;
-    EXPECT_TRUE(r.pool.nativeInvariantsOk) << r.pool.diag;
+    EXPECT_TRUE(r.pool.simReplayOk) << r.pool.diag();
+    EXPECT_TRUE(r.pool.nativeInvariantsOk) << r.pool.diag();
     ASSERT_EQ(r.pool.perWorker.size(), 2u);
     std::uint64_t executed = 0, commits = 0;
     for (const PoolWorkerStats &w : r.pool.perWorker) {
@@ -923,8 +923,8 @@ TEST(Service, SyncNativeRunKeepsTheBitIdentityContract)
     EXPECT_FALSE(a.fingerprintExempt);
     ASSERT_TRUE(a.pool.enabled);
     EXPECT_EQ(a.pool.workers, 1u);
-    EXPECT_TRUE(a.pool.oracleOk) << a.pool.diag;
-    EXPECT_TRUE(a.pool.simReplayOk) << a.pool.diag;
+    EXPECT_TRUE(a.pool.oracleOk) << a.pool.diag();
+    EXPECT_TRUE(a.pool.simReplayOk) << a.pool.diag();
     EXPECT_EQ(a.tm.aborts, 0u);
     ServiceResult b = runService(cfg, e2);
     EXPECT_EQ(a.fingerprint(), b.fingerprint());
@@ -953,7 +953,7 @@ TEST(Service, PooledExecutorInlinePathMatchesPopulateContract)
     EXPECT_GT(o.barriers, 0u);
     EXPECT_GT(exec.size(), 0u);
     EXPECT_TRUE(exec.invariant());
-    EXPECT_TRUE(exec.gateQuiescent());
+    EXPECT_TRUE(exec.poolOutcome().gateQuiescent);
 }
 
 } // namespace
