@@ -217,6 +217,7 @@ HytmThread::commit()
         // The version bumps just became visible; publish the lines
         // written under each bumped record so software transactions
         // aborted by them can classify the conflict.
+        footprint_.groupWrites();
         for (auto &[rec, ver] : recLog_) {
             g_.classifier().publishRelease(recLogArea_, rec,
                                            footprint_.writeLines(rec));

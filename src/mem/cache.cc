@@ -1,5 +1,7 @@
 #include "mem/cache.hh"
 
+#include <bit>
+
 #include "sim/logging.hh"
 
 namespace hastm {
@@ -15,6 +17,8 @@ Cache::Cache(std::string name, const CacheParams &params)
     HASTM_ASSERT(params_.numSets() > 0);
     HASTM_ASSERT((params_.numSets() & (params_.numSets() - 1)) == 0);
     HASTM_ASSERT(params_.assoc <= 255);  // mruWay_ holds a way index
+    lineShift_ = static_cast<unsigned>(std::countr_zero(params_.lineSize));
+    setMask_ = params_.numSets() - 1;
     lines_.resize(static_cast<std::size_t>(params_.numSets()) *
                   params_.assoc);
     mruWay_.resize(params_.numSets(), 0);
@@ -23,8 +27,7 @@ Cache::Cache(std::string name, const CacheParams &params)
 std::uint32_t
 Cache::setIndex(Addr a) const
 {
-    return static_cast<std::uint32_t>(
-        (a / params_.lineSize) & (params_.numSets() - 1));
+    return static_cast<std::uint32_t>(a >> lineShift_) & setMask_;
 }
 
 CacheLine *

@@ -8,6 +8,8 @@
  * plus speculative read/write bits used by the bounded HTM machine.
  *
  * Host-performance fast paths (no simulated-behaviour change):
+ *  - the set index is a shift and a mask precomputed from the
+ *    power-of-two geometry, not two divisions per lookup;
  *  - a per-set MRU way hint lets repeat hits skip the associativity
  *    scan in findLine();
  *  - interest lists of possibly-marked / possibly-speculative lines
@@ -275,6 +277,8 @@ class Cache
     std::vector<std::uint32_t> specLines_;    //!< lines that may be spec
     std::uint64_t lruClock_ = 0;
     unsigned validCount_ = 0;
+    unsigned lineShift_ = 0;     //!< log2(lineSize)
+    std::uint32_t setMask_ = 0;  //!< numSets - 1
 };
 
 } // namespace hastm

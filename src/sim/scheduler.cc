@@ -67,7 +67,7 @@ Scheduler::switchToScheduler()
 {
     Thread &self = *threads_[current_];
     self.fiber->switchTo(mainFiber_);
-    // Resumed: current_ has been re-set by run().
+    // Resumed: run() or a peer's advance() has set current_ to us.
     maybePark();
 }
 
@@ -91,10 +91,17 @@ Scheduler::advance(Cycles cycles)
         maybePark();
         return;
     }
-    // Only bounce to the scheduler if someone can run earlier than us.
+    // Hand the host straight to the earliest runnable thread, if that
+    // is no longer us. run() would pick the same thread, so going
+    // direct changes no interleaving and no switch count.
     ThreadId next = pickNext();
-    if (next != current_)
-        switchToScheduler();
+    if (next == current_)
+        return;
+    current_ = next;
+    ++switches_;
+    self.fiber->switchTo(*threads_[next]->fiber);
+    // Resumed: whoever switched back here set current_ to us.
+    maybePark();
 }
 
 void

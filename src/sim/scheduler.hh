@@ -33,9 +33,13 @@ enum class ThreadState : std::uint8_t {
 
 /**
  * Owns all simulated threads and drives their interleaving. The host
- * thread that calls run() becomes the scheduler context; simulated
- * threads bounce control back to it whenever another thread's virtual
- * time falls behind theirs.
+ * thread that calls run() becomes the scheduler context. When another
+ * thread's virtual time falls behind the running thread's, advance()
+ * switches straight from the running fiber into that thread's fiber:
+ * one fiber switch per core change. Only the paths that must reach
+ * run() switch back to its main fiber: block(), threadExit(), a park
+ * at a stop-the-world safepoint, and stopTheWorld() while it waits.
+ * run() then picks the next thread and detects deadlock.
  */
 class Scheduler
 {
@@ -59,10 +63,10 @@ class Scheduler
     // ---- calls made from inside simulated threads ----
 
     /**
-     * Advance the current thread's virtual time by @p cycles and give
-     * the scheduler a chance to run an earlier thread. This is the
-     * yield point every simulated memory access and instruction batch
-     * passes through.
+     * Advance the current thread's virtual time by @p cycles and, if
+     * a runnable thread now has a smaller (time, id), switch directly
+     * to it. This is the yield point every simulated memory access and
+     * instruction batch passes through.
      */
     void advance(Cycles cycles);
 
@@ -126,7 +130,7 @@ class Scheduler
     /** Runnable thread with minimal (time, id); kNoThread if none. */
     ThreadId pickNext() const;
 
-    /** Switch from the current thread back to the scheduler loop. */
+    /** Switch from the current thread back to run()'s main fiber. */
     void switchToScheduler();
 
     /** Park here if a stop-the-world is pending and we are not the VIP. */

@@ -7,17 +7,52 @@
 
 namespace hastm {
 
+namespace {
+
+void
+sortUnique(std::vector<Addr> &lines)
+{
+    std::sort(lines.begin(), lines.end());
+    lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
+}
+
+} // namespace
+
 std::vector<Addr>
 TxFootprint::linesUnder(Addr rec) const
 {
-    auto it = byRec_.find(rec);
-    if (it == byRec_.end())
-        return {};
-    std::vector<Addr> lines = it->second.rd;
-    for (Addr l : it->second.wr) {
-        if (std::find(lines.begin(), lines.end(), l) == lines.end())
-            lines.push_back(l);
+    std::vector<Addr> lines;
+    for (const auto *log : {&rd_, &wr_}) {
+        for (const Note &n : *log) {
+            if (n.rec == rec)
+                lines.push_back(n.line);
+        }
     }
+    sortUnique(lines);
+    return lines;
+}
+
+void
+TxFootprint::groupWrites()
+{
+    std::sort(wr_.begin(), wr_.end());
+    wr_.erase(std::unique(wr_.begin(), wr_.end()), wr_.end());
+    wrGrouped_ = wr_.size();
+}
+
+std::vector<Addr>
+TxFootprint::writeLines(Addr rec) const
+{
+    std::vector<Addr> lines;
+    auto grouped_end = wr_.begin() + static_cast<std::ptrdiff_t>(wrGrouped_);
+    for (auto it = std::lower_bound(wr_.begin(), grouped_end, Note{rec, 0});
+         it != grouped_end && it->rec == rec; ++it)
+        lines.push_back(it->line);
+    for (auto it = grouped_end; it != wr_.end(); ++it) {
+        if (it->rec == rec)
+            lines.push_back(it->line);
+    }
+    sortUnique(lines);
     return lines;
 }
 
@@ -34,14 +69,15 @@ ConflictClassifier::classify(const TxFootprint &mine, Addr self,
     // The other side's written lines: prefer the live owner (the
     // conflicting transaction is usually still holding the record
     // when the loser classifies), fall back to the last release.
+    std::vector<Addr> owner_lines;
     const std::vector<Addr> *theirs = nullptr;
     std::uint64_t recval = arena.read<std::uint64_t>(rec);
     if (!txrec::isVersion(recval) && recval != self) {
         auto owner = owners_.find(recval);
         if (owner != owners_.end()) {
-            const std::vector<Addr> &wr = owner->second->writeLines(rec);
-            if (!wr.empty())
-                theirs = &wr;
+            owner_lines = owner->second->writeLines(rec);
+            if (!owner_lines.empty())
+                theirs = &owner_lines;
         }
     }
     if (!theirs) {
@@ -52,9 +88,9 @@ ConflictClassifier::classify(const TxFootprint &mine, Addr self,
     if (!theirs || theirs->empty())
         return v;
 
+    // my_lines is sorted (linesUnder dedups by sorting).
     for (Addr l : *theirs) {
-        if (std::find(my_lines.begin(), my_lines.end(), l) !=
-            my_lines.end()) {
+        if (std::binary_search(my_lines.begin(), my_lines.end(), l)) {
             v.cls = ConflictClass::True;
             return v;
         }

@@ -22,8 +22,10 @@
 #ifndef HASTM_STM_CONFLICT_CLASS_HH
 #define HASTM_STM_CONFLICT_CLASS_HH
 
+#include <compare>
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/types.hh"
@@ -41,11 +43,14 @@ enum class ConflictClass : std::uint8_t {
 };
 
 /**
- * One transaction attempt's data accesses, bucketed by transaction
- * record and deduplicated to 64-byte lines. Reset at every top-level
- * begin; noted in the read/write barriers *before* the barrier can
- * throw, so the access that triggered a contention abort is already
- * in the footprint when the abort is classified.
+ * One transaction attempt's data accesses as flat logs of
+ * (record, 64-byte line) notes: one log for reads, one for writes.
+ * Reset at every top-level begin; noted in the read/write barriers
+ * *before* the barrier can throw, so the access that triggered a
+ * contention abort is already in the footprint when the abort is
+ * classified. Noting is an append and reset() only clears; the
+ * per-record, deduplicated line sets are built when asked for, which
+ * happens on aborts and at releases.
  */
 class TxFootprint
 {
@@ -53,52 +58,41 @@ class TxFootprint
     void
     reset()
     {
-        byRec_.clear();
+        rd_.clear();
+        wr_.clear();
+        wrGrouped_ = 0;
     }
 
-    void
-    noteRead(Addr rec, Addr data)
-    {
-        note(byRec_[rec].rd, data);
-    }
+    void noteRead(Addr rec, Addr data) { rd_.push_back({rec, data >> 6}); }
 
-    void
-    noteWrite(Addr rec, Addr data)
-    {
-        note(byRec_[rec].wr, data);
-    }
+    void noteWrite(Addr rec, Addr data) { wr_.push_back({rec, data >> 6}); }
 
     /** Distinct lines read or written under @p rec this attempt. */
     std::vector<Addr> linesUnder(Addr rec) const;
 
+    /**
+     * Sort and deduplicate the write notes taken so far, in O(w log w),
+     * so that each writeLines() call afterwards is a binary search.
+     * Call once before publishing every written record.
+     */
+    void groupWrites();
+
     /** Distinct lines written under @p rec this attempt. */
-    const std::vector<Addr> &
-    writeLines(Addr rec) const
-    {
-        static const std::vector<Addr> kEmpty;
-        auto it = byRec_.find(rec);
-        return it == byRec_.end() ? kEmpty : it->second.wr;
-    }
+    std::vector<Addr> writeLines(Addr rec) const;
 
   private:
-    struct Lines
+    struct Note
     {
-        std::vector<Addr> rd;
-        std::vector<Addr> wr;
+        Addr rec;
+        Addr line;
+
+        auto operator<=>(const Note &) const = default;
     };
 
-    static void
-    note(std::vector<Addr> &lines, Addr data)
-    {
-        Addr line = data >> 6;
-        for (Addr l : lines) {
-            if (l == line)
-                return;
-        }
-        lines.push_back(line);
-    }
-
-    std::unordered_map<Addr, Lines> byRec_;
+    std::vector<Note> rd_;
+    std::vector<Note> wr_;
+    /** wr_[0, wrGrouped_) is sorted and duplicate-free. */
+    std::size_t wrGrouped_ = 0;
 };
 
 /**
@@ -132,14 +126,13 @@ class ConflictClassifier
 
     /** Record that @p publisher released @p rec after writing @p lines. */
     void
-    publishRelease(Addr publisher, Addr rec,
-                   const std::vector<Addr> &lines)
+    publishRelease(Addr publisher, Addr rec, std::vector<Addr> lines)
     {
         if (lines.empty())
             return;
         LastWrite &lw = lastWrite_[rec];
         lw.publisher = publisher;
-        lw.lines = lines;
+        lw.lines = std::move(lines);
     }
 
     struct Verdict

@@ -406,6 +406,7 @@ void
 StmThread::releaseOwned(bool bump)
 {
     Core::MetaScope meta(core_);
+    footprint_.groupWrites();
     desc_.writeSet().forEachAll([&](Addr e) {
         Addr rec = core_.load<std::uint64_t>(e);
         std::uint64_t old = core_.load<std::uint64_t>(e + 8);

@@ -111,6 +111,74 @@ TEST(Cache, LruVictimSelection)
     EXPECT_EQ(victim->tag, set0_b);
 }
 
+TEST(Cache, GeometryIndexesTheSetNamedByLineNumberModSets)
+{
+    for (std::uint32_t line : {32u, 64u, 128u}) {
+        for (std::uint32_t assoc : {1u, 4u, 8u, 16u}) {
+            for (std::uint32_t sets : {16u, 256u}) {
+                SCOPED_TRACE(testing::Message()
+                             << "line " << line << " assoc " << assoc
+                             << " sets " << sets);
+                Cache cache("c", CacheParams{sets * assoc * line, assoc,
+                                             line, 16});
+                ASSERT_EQ(cache.params().numSets(), sets);
+                // Frames are set-major, and an empty set hands out its
+                // way 0 first, so set s starts at base + s * assoc.
+                const CacheLine *base = cache.victimFor(0);
+                auto set_of = [&](Addr a) {
+                    return (a / line) & (sets - 1);
+                };
+                const std::uint32_t target = sets / 2 + 1;
+                // Same set, distinct tags, high address bits set and
+                // a varying offset inside the line.
+                auto collider = [&](std::uint32_t k) {
+                    return (Addr(k) << 33) + (Addr(k) * sets + target) *
+                        line + (k * 8) % line;
+                };
+                for (std::uint32_t k = 0; k < assoc; ++k) {
+                    Addr a = collider(k);
+                    ASSERT_EQ(set_of(a), target);
+                    CacheLine *frame = cache.victimFor(a);
+                    ASSERT_EQ(frame, base + target * assoc + k);
+                    cache.fill(*frame, a, MesiState::Shared);
+                    EXPECT_EQ(cache.findLine(a), frame);
+                }
+                // A line one set over lands in its own set and evicts
+                // none of the colliders.
+                Addr neighbour = collider(assoc) + line;
+                ASSERT_EQ(set_of(neighbour), target + 1);
+                CacheLine *nframe = cache.victimFor(neighbour);
+                EXPECT_EQ(nframe, base + (target + 1) * assoc);
+                EXPECT_FALSE(nframe->valid());
+                cache.fill(*nframe, neighbour, MesiState::Shared);
+                for (std::uint32_t k = 0; k < assoc; ++k)
+                    EXPECT_NE(cache.findLine(collider(k)), nullptr);
+                // Re-touch collider 0, so the LRU one is collider 1
+                // (collider 0 itself when the set has one way).
+                cache.touch(*cache.findLine(collider(0)));
+                Addr lru = collider(assoc > 1 ? 1 : 0);
+                Addr extra = collider(assoc + 1);
+                ASSERT_EQ(set_of(extra), target);
+                CacheLine *victim = cache.victimFor(extra);
+                EXPECT_EQ(victim->tag, cache.lineAddr(lru));
+                cache.fill(*victim, extra, MesiState::Shared);
+                EXPECT_EQ(cache.findLine(lru), nullptr);
+                EXPECT_EQ(cache.findLine(extra), victim);
+                EXPECT_EQ(cache.findLine(neighbour), nframe);
+                EXPECT_EQ(cache.validLines(), assoc + 1);
+            }
+        }
+    }
+}
+
+TEST(CacheDeathTest, NonPowerOfTwoSetCountAsserts)
+{
+    for (std::uint32_t line : {32u, 64u, 128u}) {
+        EXPECT_DEATH(Cache("c", CacheParams{3 * 4 * line, 4, line, 16}),
+                     "numSets\\(\\) - 1");
+    }
+}
+
 // -------------------------------------------------- coherent hierarchy
 
 struct TestEnv

@@ -7,9 +7,16 @@
  * the parallel runner.
  */
 
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "harness/runner.hh"
+#include "mem/arena.hh"
+#include "stm/conflict_class.hh"
 #include "workloads/tm_api.hh"
 
 namespace hastm {
@@ -313,6 +320,142 @@ TEST(ConflictClass, PerArenaShardsRemoveTheAliasedConflicts)
     EXPECT_EQ(s.aborts, 0u);
     EXPECT_EQ(s.aliased, 0u);
     EXPECT_EQ(s.tru, 0u);
+}
+
+// ------------------------------------------------ footprint semantics
+
+std::vector<Addr>
+sorted(std::vector<Addr> v)
+{
+    std::sort(v.begin(), v.end());
+    return v;
+}
+
+/**
+ * Under record 0x1000: line 40 read three times and written twice,
+ * line 41 only read, line 42 written twice. Under record 0x2000: line
+ * 43 read, line 44 written. Line numbers are addresses >> 6.
+ */
+TxFootprint
+sampleFootprint()
+{
+    TxFootprint fp;
+    for (Addr off : {0, 8, 56})
+        fp.noteRead(0x1000, 40 * 64 + off);
+    fp.noteWrite(0x1000, 40 * 64 + 16);
+    fp.noteWrite(0x1000, 40 * 64 + 24);
+    fp.noteRead(0x1000, 41 * 64);
+    fp.noteWrite(0x1000, 42 * 64);
+    fp.noteWrite(0x1000, 42 * 64 + 8);
+    fp.noteRead(0x2000, 43 * 64);
+    fp.noteWrite(0x2000, 44 * 64);
+    return fp;
+}
+
+TEST(TxFootprint, LinesDedupPerRecordAndWriteLinesSkipReadOnlyLines)
+{
+    TxFootprint fp = sampleFootprint();
+    EXPECT_EQ(sorted(fp.linesUnder(0x1000)),
+              (std::vector<Addr>{40, 41, 42}));
+    EXPECT_EQ(sorted(fp.writeLines(0x1000)), (std::vector<Addr>{40, 42}));
+    EXPECT_EQ(fp.linesUnder(0x2000), (std::vector<Addr>{43, 44}));
+    EXPECT_EQ(fp.writeLines(0x2000), (std::vector<Addr>{44}));
+    EXPECT_TRUE(fp.linesUnder(0x3000).empty());
+    EXPECT_TRUE(fp.writeLines(0x3000).empty());
+
+    // Grouping the writes for a release changes no answer, and writes
+    // noted after it still count.
+    fp.groupWrites();
+    EXPECT_EQ(sorted(fp.writeLines(0x1000)), (std::vector<Addr>{40, 42}));
+    fp.noteWrite(0x1000, 41 * 64 + 8);
+    fp.noteWrite(0x1000, 40 * 64);
+    EXPECT_EQ(sorted(fp.writeLines(0x1000)),
+              (std::vector<Addr>{40, 41, 42}));
+    EXPECT_EQ(fp.writeLines(0x2000), (std::vector<Addr>{44}));
+
+    fp.reset();
+    EXPECT_TRUE(fp.linesUnder(0x1000).empty());
+    EXPECT_TRUE(fp.writeLines(0x1000).empty());
+}
+
+TEST(TxFootprint, VerdictCountsEachLineUnderTheRecordOnce)
+{
+    MemArena arena(1 << 16);
+    const Addr rec = 0x1000, self = 0x100, peer = 0x200;
+    arena.write<std::uint64_t>(rec, 1);  // a version: no live owner
+    TxFootprint mine = sampleFootprint();
+    ConflictClassifier cc;
+
+    ConflictClassifier::Verdict v = cc.classify(mine, self, rec, arena);
+    EXPECT_EQ(v.cls, ConflictClass::Unknown);
+    EXPECT_EQ(v.myLines, 3u);
+
+    // The peer wrote a line this attempt only read: a true conflict.
+    cc.publishRelease(peer, rec, {41});
+    v = cc.classify(mine, self, rec, arena);
+    EXPECT_EQ(v.cls, ConflictClass::True);
+    EXPECT_EQ(v.myLines, 3u);
+
+    // Line 44 was touched here, but under another record.
+    cc.publishRelease(peer, rec, {44});
+    v = cc.classify(mine, self, rec, arena);
+    EXPECT_EQ(v.cls, ConflictClass::Aliased);
+    EXPECT_EQ(v.myLines, 3u);
+
+    // A live owner's write lines win over the last release; its reads
+    // do not count.
+    TxFootprint theirs;
+    theirs.noteRead(rec, 42 * 64);
+    theirs.noteWrite(rec, 45 * 64);
+    cc.registerOwner(0x300, &theirs);
+    arena.write<std::uint64_t>(rec, 0x300);
+    v = cc.classify(mine, self, rec, arena);
+    EXPECT_EQ(v.cls, ConflictClass::Aliased);
+    theirs.noteWrite(rec, 42 * 64 + 8);
+    v = cc.classify(mine, self, rec, arena);
+    EXPECT_EQ(v.cls, ConflictClass::True);
+    EXPECT_EQ(v.myLines, 3u);
+}
+
+/**
+ * Host seconds to note @p writes writes, each under its own record,
+ * and publish every record the way a commit does. Best of five.
+ */
+double
+publishSeconds(unsigned writes)
+{
+    ConflictClassifier cc;
+    TxFootprint fp;
+    double best = 1e9;
+    for (int rep = 0; rep < 6; ++rep) {
+        auto t0 = std::chrono::steady_clock::now();
+        fp.reset();
+        for (unsigned i = 0; i < writes; ++i) {
+            fp.noteRead(0x10000 + 64 * Addr(i), 64 * Addr(i));
+            fp.noteWrite(0x10000 + 64 * Addr(i), 64 * Addr(i));
+        }
+        fp.groupWrites();
+        for (unsigned i = 0; i < writes; ++i)
+            cc.publishRelease(1, 0x10000 + 64 * Addr(i),
+                              fp.writeLines(0x10000 + 64 * Addr(i)));
+        std::chrono::duration<double> dt =
+            std::chrono::steady_clock::now() - t0;
+        if (rep > 0)  // the first round also grows the classifier's map
+            best = std::min(best, dt.count());
+    }
+    EXPECT_EQ(fp.writeLines(0x10000 + 64 * 7), (std::vector<Addr>{7}));
+    return best;
+}
+
+TEST(TxFootprint, LargeWriteSetPublishesWithoutQuadraticBlowUp)
+{
+    // 8x the writes may cost ~8x (times a log factor); one probe of
+    // the whole write log per record would cost ~64x.
+    double small = publishSeconds(512);
+    double large = publishSeconds(4096);
+    std::printf("publish 512 writes: %.1f us, 4096 writes: %.1f us\n",
+                small * 1e6, large * 1e6);
+    EXPECT_LT(large, 24 * small);
 }
 
 // ------------------------------------------------ runner determinism

@@ -4,6 +4,10 @@
  * stats, logging plumbing.
  */
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "sim/fiber.hh"
@@ -119,6 +123,209 @@ TEST(Scheduler, DeterministicSwitchCount)
         return sched.switches();
     };
     EXPECT_EQ(run_once(), run_once());
+}
+
+/**
+ * One step of a scripted simulated thread. The same scripts drive the
+ * real Scheduler and the reference model below.
+ */
+struct Step
+{
+    enum Op { Advance, Block, Unblock, Stop, Resume } op;
+    std::uint64_t arg = 0;  //!< cycles for Advance, thread for Unblock
+};
+
+using Script = std::vector<Step>;
+using Trace = std::vector<std::pair<ThreadId, Cycles>>;
+
+/**
+ * Reference model of the scheduling rule: whenever the running thread
+ * yields, the runnable thread with minimal (time, id) runs next, and
+ * every hand-over to a thread counts one switch. A thread records
+ * (id, time) when it starts and after each of its steps returns.
+ */
+struct SchedModel
+{
+    struct T
+    {
+        Cycles time = 0;
+        ThreadState st = ThreadState::Runnable;
+        std::size_t pc = 0;
+        bool started = false;
+        bool inStep = false;  //!< suspended inside step pc
+    };
+
+    std::vector<Script> scripts;
+    std::vector<T> ts;
+    Trace trace;
+    std::uint64_t switches = 0;
+    bool stopPending = false;
+    ThreadId requester = 0;
+
+    explicit SchedModel(std::vector<Script> s)
+        : scripts(std::move(s)), ts(scripts.size())
+    {
+    }
+
+    ThreadId
+    pick() const
+    {
+        ThreadId best = ThreadId(-1);
+        for (ThreadId i = 0; i < ts.size(); ++i) {
+            if (ts[i].st != ThreadState::Runnable)
+                continue;
+            if (best == ThreadId(-1) || ts[i].time < ts[best].time)
+                best = i;
+        }
+        return best;
+    }
+
+    /** Run thread @p id until it gives the host up. */
+    void
+    resume(ThreadId id)
+    {
+        T &t = ts[id];
+        if (!t.started) {
+            t.started = true;
+            trace.push_back({id, t.time});
+        }
+        for (;;) {
+            if (t.inStep) {
+                // Every resume honours a pending safepoint first.
+                if (stopPending && id != requester) {
+                    t.st = ThreadState::Safepoint;
+                    return;
+                }
+                if (scripts[id][t.pc].op == Step::Stop) {
+                    Cycles max_other = 0;
+                    bool all_parked = true;
+                    for (ThreadId o = 0; o < ts.size(); ++o) {
+                        if (o != id &&
+                            ts[o].st == ThreadState::Runnable) {
+                            all_parked = false;
+                            max_other = std::max(max_other, ts[o].time);
+                        }
+                    }
+                    if (!all_parked) {
+                        t.time = std::max(t.time, max_other + 1);
+                        return;
+                    }
+                }
+                t.inStep = false;
+                trace.push_back({id, t.time});
+                ++t.pc;
+            }
+            if (t.pc == scripts[id].size()) {
+                t.st = ThreadState::Finished;
+                return;
+            }
+            const Step &s = scripts[id][t.pc];
+            t.inStep = true;
+            switch (s.op) {
+              case Step::Advance:
+                t.time += s.arg;
+                if (stopPending && id != requester)
+                    break;  // parks at the top of the loop
+                if (pick() != id)
+                    return;
+                break;
+              case Step::Block:
+                t.st = ThreadState::Blocked;
+                return;
+              case Step::Unblock: {
+                T &u = ts[s.arg];
+                u.st = ThreadState::Runnable;
+                u.time = std::max(u.time, t.time);
+                break;
+              }
+              case Step::Stop:
+                stopPending = true;
+                requester = id;
+                break;
+              case Step::Resume:
+                stopPending = false;
+                for (T &u : ts) {
+                    if (u.st == ThreadState::Safepoint) {
+                        u.st = ThreadState::Runnable;
+                        u.time = std::max(u.time, t.time);
+                    }
+                }
+                break;
+            }
+        }
+    }
+
+    void
+    run()
+    {
+        for (ThreadId next; (next = pick()) != ThreadId(-1);) {
+            ++switches;
+            resume(next);
+        }
+    }
+};
+
+TEST(Scheduler, InterleavingMatchesMinTimeIdReferenceModel)
+{
+    using S = Step;
+    // Uneven step sizes with equal-time ties (threads 0, 2 and 3 all
+    // meet at t=10, 20, 30, ...), one block/unblock pair and one
+    // stop-the-world that catches every peer mid-script.
+    const std::vector<Script> scripts = {
+        {{S::Advance, 10}, {S::Advance, 10}, {S::Advance, 10},
+         {S::Advance, 10}, {S::Advance, 10}, {S::Advance, 10},
+         {S::Advance, 10}, {S::Advance, 10}},
+        {{S::Advance, 5}, {S::Block}, {S::Advance, 7}, {S::Advance, 7},
+         {S::Advance, 7}, {S::Advance, 7}},
+        {{S::Advance, 10}, {S::Advance, 15}, {S::Unblock, 1},
+         {S::Advance, 20}, {S::Stop}, {S::Advance, 100}, {S::Resume},
+         {S::Advance, 5}, {S::Advance, 5}},
+        {{S::Advance, 5}, {S::Advance, 5}, {S::Advance, 5},
+         {S::Advance, 5}, {S::Advance, 5}, {S::Advance, 5},
+         {S::Advance, 5}, {S::Advance, 5}, {S::Advance, 5},
+         {S::Advance, 5}, {S::Advance, 5}, {S::Advance, 5}},
+    };
+
+    Scheduler sched;
+    Trace trace;
+    for (const Script &script : scripts) {
+        sched.spawn([&sched, &trace, &script] {
+            ThreadId me = sched.currentThread();
+            trace.push_back({me, sched.now()});
+            for (const Step &s : script) {
+                switch (s.op) {
+                  case Step::Advance:
+                    sched.advance(s.arg);
+                    break;
+                  case Step::Block:
+                    sched.block();
+                    break;
+                  case Step::Unblock:
+                    sched.unblock(static_cast<ThreadId>(s.arg));
+                    break;
+                  case Step::Stop:
+                    sched.stopTheWorld();
+                    break;
+                  case Step::Resume:
+                    sched.resumeTheWorld();
+                    break;
+                }
+                trace.push_back({me, sched.now()});
+            }
+        });
+    }
+    sched.run();
+
+    SchedModel model(scripts);
+    model.run();
+    std::size_t steps = scripts.size();
+    for (const Script &s : scripts)
+        steps += s.size();
+    ASSERT_EQ(model.trace.size(), steps);
+    EXPECT_EQ(trace, model.trace);
+    EXPECT_EQ(sched.switches(), model.switches);
+    // The scripts really interleave: far more switches than threads.
+    EXPECT_GT(model.switches, 20u);
 }
 
 TEST(Scheduler, BlockAndUnblock)
