@@ -1,5 +1,9 @@
 #include "native/native_heap.hh"
 
+#include <sys/mman.h>
+
+#include <type_traits>
+
 #include "sim/logging.hh"
 
 namespace hastm {
@@ -10,15 +14,42 @@ namespace {
 // handed out, matching the simulated arena's convention.
 constexpr Addr kHeapBase = 64;
 
+// The mapping's zero pages are used as atomic words holding 0
+// without a constructor running over them (which would touch every
+// page): that needs an atomic with exactly a plain word's
+// representation.
+using Word = std::atomic<std::uint64_t>;
+static_assert(sizeof(Word) == 8 && alignof(Word) == 8);
+static_assert(Word::is_always_lock_free);
+static_assert(std::is_trivially_destructible_v<Word>);
+
+/** @p bytes of anonymous zero-fill-on-demand memory. */
+Word *
+mapZeroWords(std::size_t bytes)
+{
+    int flags = MAP_PRIVATE | MAP_ANONYMOUS;
+#ifdef MAP_NORESERVE
+    flags |= MAP_NORESERVE;  // capacity is an upper bound, not a need
+#endif
+    void *p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, flags, -1, 0);
+    if (p == MAP_FAILED)
+        panic("native heap: cannot map %zu bytes", bytes);
+    return static_cast<Word *>(p);
+}
+
 } // namespace
+
+void
+NativeHeap::Unmap::operator()(std::atomic<std::uint64_t> *p) const
+{
+    munmap(p, bytes);
+}
 
 NativeHeap::NativeHeap(std::size_t bytes)
     : bytes_((bytes + 7) & ~std::size_t(7)),
-      words_(new std::atomic<std::uint64_t>[bytes_ / 8])
+      words_(mapZeroWords(bytes_), Unmap{bytes_})
 {
     HASTM_ASSERT(bytes_ > kHeapBase);
-    for (std::size_t i = 0; i < bytes_ / 8; ++i)
-        words_[i].store(0, std::memory_order_relaxed);
     freeBlocks_.emplace(kHeapBase, bytes_ - kHeapBase);
 }
 

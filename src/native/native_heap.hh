@@ -9,7 +9,10 @@
  * std::atomic words. Every 8-byte slot is an atomic, which makes the
  * backend TSan-clean by construction: transactional data races are
  * mediated by the record protocol, and the raw accesses themselves
- * are relaxed atomics, never plain loads/stores.
+ * are relaxed atomics, never plain loads/stores. The buffer is an
+ * anonymous zero-fill-on-demand mapping: a word reads 0 until first
+ * stored, and a page costs resident memory only once touched, so a
+ * session's capacity is virtual until its workload uses it.
  *
  * The allocator is the same first-fit-with-coalescing discipline as
  * mem/alloc.cc, guarded by a host mutex. It stays off the
@@ -91,8 +94,15 @@ class NativeHeap : public LogMem
   private:
     void insertFree(Addr addr, std::size_t len);
 
+    /** munmap()s the word buffer. */
+    struct Unmap
+    {
+        std::size_t bytes;
+        void operator()(std::atomic<std::uint64_t> *p) const;
+    };
+
     std::size_t bytes_;
-    std::unique_ptr<std::atomic<std::uint64_t>[]> words_;
+    std::unique_ptr<std::atomic<std::uint64_t>[], Unmap> words_;
 
     mutable std::mutex allocMu_;
     std::map<Addr, std::size_t> freeBlocks_;

@@ -26,9 +26,12 @@
 #include <sstream>
 #include <thread>
 
+#include <sys/resource.h>
+
 #include "backend/native_backend.hh"
 #include "backend/sim_backend.hh"
 #include "harness/native_experiment.hh"
+#include "native/native_heap.hh"
 #include "native/native_stm.hh"
 
 #include "conformance_suite.hh"
@@ -99,6 +102,63 @@ INSTANTIATE_TEST_SUITE_P(
           default:                  return "line";
         }
     });
+
+// ------------------------------------------------------- native heap
+
+namespace {
+
+/** Peak resident set of this process so far, in KiB (Linux units). */
+long
+peakRssKib()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return ru.ru_maxrss;
+}
+
+} // namespace
+
+TEST(NativeHeap, CapacityIsNotResidentUntilTouched)
+{
+    // Zero-fill-on-demand: a 1 GiB heap costs page tables, not pages.
+    long before = peakRssKib();
+    NativeHeap heap(std::size_t(1) << 30);
+    Addr a = heap.alloc(4096);
+    heap.storeWord(a, 1);
+    EXPECT_EQ(heap.loadWord(a), 1u);
+    EXPECT_LT(peakRssKib() - before, 16 * 1024);
+    EXPECT_EQ(heap.capacityBytes(), std::size_t(1) << 30);
+}
+
+TEST(NativeHeap, FreshAllocReadsZero)
+{
+    NativeHeap heap(1 << 20);
+    Addr a = heap.alloc(64 * 1024);
+    for (Addr p = a; p < a + 64 * 1024; p += 8)
+        ASSERT_EQ(heap.loadWord(p), 0u) << "offset " << p - a;
+}
+
+TEST(NativeHeap, FreeThenReallocRoundTrips)
+{
+    NativeHeap heap(1 << 20);
+    Addr a = heap.alloc(256);
+    for (Addr p = a; p < a + 256; p += 8)
+        heap.storeWord(p, 0xabcd0000 + p);
+    EXPECT_EQ(heap.allocatedBytes(), 256u);
+    heap.free(a);
+    EXPECT_EQ(heap.allocatedBytes(), 0u);
+    // First fit hands the same block back, contents as left ...
+    Addr b = heap.alloc(256);
+    EXPECT_EQ(b, a);
+    EXPECT_EQ(heap.loadWord(b + 8), 0xabcd0000 + b + 8);
+    heap.free(b);
+    // ... and allocZeroed clears a reused block.
+    Addr c = heap.allocZeroed(256);
+    EXPECT_EQ(c, a);
+    for (Addr p = c; p < c + 256; p += 8)
+        ASSERT_EQ(heap.loadWord(p), 0u);
+    EXPECT_EQ(heap.allocatedBytes(), 256u);
+}
 
 // ------------------------------------------------ rollback edge cases
 
