@@ -2,11 +2,10 @@
 
 namespace hastm {
 
-MemArena::MemArena(std::size_t bytes) : size_(bytes)
+MemArena::MemArena(std::size_t bytes)
+    : size_(bytes), data_(mapZeroPages<std::uint8_t>(bytes))
 {
     HASTM_ASSERT(bytes >= 4096);
-    data_ = std::make_unique<std::uint8_t[]>(bytes);
-    std::memset(data_.get(), 0, bytes);
 }
 
 void

@@ -8,6 +8,12 @@
  * The arena is the single source of truth for data; the cache models
  * in mem/cache.hh are tags-only (exact, because the simulator is
  * single-host-threaded and coherence is applied at access time).
+ *
+ * The host buffer is an anonymous zero-fill-on-demand mapping
+ * (mem/zero_pages.hh): every address reads 0 until first written, and
+ * a host page becomes resident only when the simulated program touches
+ * it. A machine's 64 MB arena therefore costs about what its workload
+ * uses, with no up-front zeroing pass.
  */
 
 #ifndef HASTM_MEM_ARENA_HH
@@ -15,10 +21,10 @@
 
 #include <cstring>
 #include <functional>
-#include <memory>
 #include <type_traits>
 #include <vector>
 
+#include "mem/zero_pages.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -108,13 +114,14 @@ class MemArena
     void
     checkRange(Addr a, std::size_t len) const
     {
-        if (a == kNullAddr || a + len > size_)
+        // a + len could wrap; len <= size_ - a cannot once a <= size_.
+        if (a == kNullAddr || a > size_ || len > size_ - a)
             panic("arena access out of range: addr %#llx len %zu",
                   static_cast<unsigned long long>(a), len);
     }
 
-    std::unique_ptr<std::uint8_t[]> data_;
     std::size_t size_;
+    ZeroPages<std::uint8_t> data_;
     std::vector<MemRegion> regions_;
     std::vector<std::pair<std::size_t, RegionListener>> listeners_;
     std::size_t nextListener_ = 0;

@@ -1,7 +1,5 @@
 #include "native/native_heap.hh"
 
-#include <sys/mman.h>
-
 #include <type_traits>
 
 #include "sim/logging.hh"
@@ -23,31 +21,11 @@ static_assert(sizeof(Word) == 8 && alignof(Word) == 8);
 static_assert(Word::is_always_lock_free);
 static_assert(std::is_trivially_destructible_v<Word>);
 
-/** @p bytes of anonymous zero-fill-on-demand memory. */
-Word *
-mapZeroWords(std::size_t bytes)
-{
-    int flags = MAP_PRIVATE | MAP_ANONYMOUS;
-#ifdef MAP_NORESERVE
-    flags |= MAP_NORESERVE;  // capacity is an upper bound, not a need
-#endif
-    void *p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, flags, -1, 0);
-    if (p == MAP_FAILED)
-        panic("native heap: cannot map %zu bytes", bytes);
-    return static_cast<Word *>(p);
-}
-
 } // namespace
-
-void
-NativeHeap::Unmap::operator()(std::atomic<std::uint64_t> *p) const
-{
-    munmap(p, bytes);
-}
 
 NativeHeap::NativeHeap(std::size_t bytes)
     : bytes_((bytes + 7) & ~std::size_t(7)),
-      words_(mapZeroWords(bytes_), Unmap{bytes_})
+      words_(mapZeroPages<Word>(bytes_))
 {
     HASTM_ASSERT(bytes_ > kHeapBase);
     freeBlocks_.emplace(kHeapBase, bytes_ - kHeapBase);

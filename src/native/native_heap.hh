@@ -10,9 +10,10 @@
  * backend TSan-clean by construction: transactional data races are
  * mediated by the record protocol, and the raw accesses themselves
  * are relaxed atomics, never plain loads/stores. The buffer is an
- * anonymous zero-fill-on-demand mapping: a word reads 0 until first
- * stored, and a page costs resident memory only once touched, so a
- * session's capacity is virtual until its workload uses it.
+ * anonymous zero-fill-on-demand mapping (mem/zero_pages.hh, shared
+ * with the simulated arena): a word reads 0 until first stored, and a
+ * page costs resident memory only once touched, so a session's
+ * capacity is virtual until its workload uses it.
  *
  * The allocator is the same first-fit-with-coalescing discipline as
  * mem/alloc.cc, guarded by a host mutex. It stays off the
@@ -26,9 +27,9 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 
+#include "mem/zero_pages.hh"
 #include "sim/types.hh"
 #include "stm/tx_log.hh"
 
@@ -94,15 +95,8 @@ class NativeHeap : public LogMem
   private:
     void insertFree(Addr addr, std::size_t len);
 
-    /** munmap()s the word buffer. */
-    struct Unmap
-    {
-        std::size_t bytes;
-        void operator()(std::atomic<std::uint64_t> *p) const;
-    };
-
     std::size_t bytes_;
-    std::unique_ptr<std::atomic<std::uint64_t>[], Unmap> words_;
+    ZeroPages<std::atomic<std::uint64_t>> words_;
 
     mutable std::mutex allocMu_;
     std::map<Addr, std::size_t> freeBlocks_;

@@ -98,9 +98,12 @@ StmThread::guardAddr(Addr data, unsigned size)
     // outside the heap; if validation passes, the address really is
     // a bug in the caller. The lower bound is the heap's first managed
     // byte, not a magic constant — everything below it (the null page
-    // and reserved prefix) is never handed out to simulated code.
-    if (data >= g_.machine().heap().base() &&
-        data + size <= g_.machine().arena().size())
+    // and reserved prefix) is never handed out to simulated code. The
+    // upper bound is written so that an address near 2^64 cannot wrap
+    // data + size back into range.
+    std::size_t limit = g_.machine().arena().size();
+    if (data >= g_.machine().heap().base() && data <= limit &&
+        size <= limit - data)
         return;
     validateNow();
     panic("transaction computed out-of-range address %#llx with a "

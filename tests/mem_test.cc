@@ -5,6 +5,8 @@
  * back-invalidation, and the prefetcher.
  */
 
+#include <sys/resource.h>
+
 #include <gtest/gtest.h>
 
 #include "mem/alloc.hh"
@@ -31,6 +33,39 @@ TEST(ArenaDeathTest, OutOfRangePanics)
     MemArena arena(4096);
     EXPECT_DEATH(arena.read<std::uint64_t>(4095), "out of range");
     EXPECT_DEATH(arena.read<std::uint32_t>(0), "out of range");
+    // addr + len wraps past 2^64 here; the check must not.
+    EXPECT_DEATH(arena.read<std::uint64_t>(~Addr(0) - 7), "out of range");
+    EXPECT_DEATH(arena.hostPtr(8, ~std::size_t(0)), "out of range");
+}
+
+/** Peak resident set of this process so far, in KiB (Linux units). */
+long
+peakRssKib()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return ru.ru_maxrss;
+}
+
+TEST(Arena, SizeIsNotResidentUntilTouched)
+{
+    // Zero-fill-on-demand: a 1 GiB arena costs page tables, not pages.
+    long before = peakRssKib();
+    MemArena arena(std::size_t(1) << 30);
+    arena.write<std::uint64_t>(4096, 1);
+    EXPECT_EQ(arena.read<std::uint64_t>(4096), 1u);
+    EXPECT_LT(peakRssKib() - before, 16 * 1024);
+    EXPECT_EQ(arena.size(), std::size_t(1) << 30);
+}
+
+TEST(Arena, FreshArenaReadsZero)
+{
+    // Address 0 is the null address, so the first word is at 8.
+    const std::size_t bytes = 1 << 20;
+    MemArena arena(bytes);
+    EXPECT_EQ(arena.read<std::uint64_t>(8), 0u);
+    EXPECT_EQ(arena.read<std::uint64_t>(bytes / 2), 0u);
+    EXPECT_EQ(arena.read<std::uint64_t>(bytes - 8), 0u);
 }
 
 // ---------------------------------------------------------- allocator
@@ -77,13 +112,18 @@ TEST(AllocatorDeathTest, DoubleFreePanics)
 
 TEST(Allocator, ZeroedAllocation)
 {
+    // Only fresh pages are zero; a block handed back by first fit
+    // holds whatever its last owner wrote until allocZeroed clears it.
     MemArena arena(1 << 16);
     SimAllocator heap(arena, 64, (1 << 16) - 64);
     Addr a = heap.alloc(64);
-    arena.write<std::uint64_t>(a, ~0ull);
+    for (Addr p = a; p < a + 64; p += 8)
+        arena.write<std::uint64_t>(p, ~0ull);
     heap.free(a);
     Addr b = heap.allocZeroed(64);
-    EXPECT_EQ(arena.read<std::uint64_t>(b), 0u);
+    ASSERT_EQ(b, a);
+    for (Addr p = b; p < b + 64; p += 8)
+        EXPECT_EQ(arena.read<std::uint64_t>(p), 0u) << "offset " << p - b;
 }
 
 // ------------------------------------------------------------- cache

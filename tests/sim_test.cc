@@ -5,6 +5,7 @@
  */
 
 #include <algorithm>
+#include <exception>
 #include <utility>
 #include <vector>
 
@@ -61,6 +62,45 @@ TEST(Fiber, DeepStackUsage)
     child_ptr = &child;
     main_fiber.switchTo(child);
     EXPECT_EQ(result, 1000u);
+}
+
+TEST(Fiber, CatchHandlersOnTwoFibersKeepTheirOwnExceptions)
+{
+    // Each fiber switches away inside a catch handler, and the host
+    // context ends its handler first. The caught-exception stack is
+    // per host thread, so unless switchTo() swaps it, ending the host
+    // context's handler pops (and frees) the child's exception.
+    auto caughtValue = [] {
+        try {
+            std::rethrow_exception(std::current_exception());
+        } catch (int v) {
+            return v;
+        }
+    };
+    Fiber main_fiber;
+    Fiber *child_ptr = nullptr;
+    int child_saw = 0;
+    Fiber child([&] {
+        try {
+            throw 2;
+        } catch (int) {
+            child_ptr->switchTo(main_fiber);
+            child_saw = caughtValue();
+        }
+        for (;;)
+            child_ptr->switchTo(main_fiber);
+    });
+    child_ptr = &child;
+    try {
+        throw 1;
+    } catch (int) {
+        main_fiber.switchTo(child);
+        EXPECT_EQ(caughtValue(), 1);
+    }
+    EXPECT_EQ(std::current_exception(), nullptr);
+    main_fiber.switchTo(child);
+    EXPECT_EQ(child_saw, 2);
+    EXPECT_EQ(std::current_exception(), nullptr);
 }
 
 TEST(Scheduler, RunsAllThreadsToCompletion)

@@ -569,5 +569,20 @@ TEST(StmGuardDeathTest, AddressBelowHeapBaseIsRejected)
         "out-of-range address");
 }
 
+TEST(StmGuardDeathTest, AddressNearTwoToTheSixtyFourTakesTheValidationPath)
+{
+    // data + size wraps to 0 for this address. The guard must still
+    // see it as out of range, validate, and then panic with its own
+    // message instead of letting the arena read the host memory just
+    // below its buffer.
+    Env env(TmScheme::Stm, 1);
+    EXPECT_DEATH(
+        env.machine->run({[&](Core &core) {
+            TmThread &t = env.session->threadFor(core);
+            t.atomic([&] { t.readWord(~Addr(0) - 7); });
+        }}),
+        "out-of-range address");
+}
+
 } // namespace
 } // namespace hastm
