@@ -5,13 +5,21 @@
  * per-scheme read/write barriers. Host wall-clock measures simulator
  * throughput; the SimCycles counter reports the simulated cost per
  * operation, which is what the figure benches build on.
+ *
+ * The primitive and barrier benches build a fresh Machine per
+ * iteration (a miss must find cold caches) but time only the repeated
+ * body, as manual time: the reported time is one body of `reps`
+ * operations, and the HostNsPerOp counter is host nanoseconds per
+ * simulated operation.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/experiment.hh"
@@ -33,26 +41,63 @@ benchMachine()
     return p;
 }
 
-/** Run @p body once inside a simulated thread and report cycles/op. */
+/** Host seconds since @p t0. */
+double
+secondsSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+}
+
+/**
+ * Time one body of @p reps simulated operations as the iteration's
+ * manual time and report SimCycles (simulated cycles per operation)
+ * and HostNsPerOp (host nanoseconds per operation, over all
+ * iterations). @p run builds the machine, runs the body, and returns
+ * {simulated cycles of the body, host seconds of the body}.
+ */
+template <typename Run>
+void
+timedBodies(benchmark::State &state, int reps, Run run)
+{
+    double total_secs = 0;
+    Cycles used = 0;
+    for (auto _ : state) {
+        (void)_;
+        auto [cycles, secs] = run();
+        state.SetIterationTime(secs);
+        total_secs += secs;
+        used = cycles / reps;
+    }
+    state.counters["SimCycles"] = benchmark::Counter(double(used));
+    state.counters["HostNsPerOp"] = benchmark::Counter(
+        state.iterations()
+            ? total_secs * 1e9 / (double(state.iterations()) * reps)
+            : 0.0);
+}
+
+/** Run @p body 256 times inside a simulated thread (see timedBodies). */
 template <typename Setup, typename Body>
 void
 simLoop(benchmark::State &state, Setup setup, Body body)
 {
-    for (auto _ : state) {
-        (void)_;
+    const int reps = 256;
+    timedBodies(state, reps, [&] {
         Machine machine(benchMachine());
         Cycles used = 0;
+        double secs = 0;
         machine.run({[&](Core &core) {
             auto ctx = setup(machine, core);
             Cycles t0 = core.cycles();
-            const int reps = 256;
+            auto h0 = std::chrono::steady_clock::now();
             for (int i = 0; i < reps; ++i)
                 body(core, ctx, i);
-            used = (core.cycles() - t0) / reps;
+            secs = secondsSince(h0);
+            used = core.cycles() - t0;
         }});
-        state.counters["SimCycles"] =
-            benchmark::Counter(double(used));
-    }
+        return std::pair{used, secs};
+    });
 }
 
 void
@@ -83,7 +128,7 @@ BM_L1HitLoad(benchmark::State &state)
         },
         [](Core &core, int, int) { core.load<std::uint64_t>(4096); });
 }
-BENCHMARK(BM_L1HitLoad);
+BENCHMARK(BM_L1HitLoad)->UseManualTime();
 
 void
 BM_MemoryMissLoad(benchmark::State &state)
@@ -95,7 +140,7 @@ BM_MemoryMissLoad(benchmark::State &state)
             core.load<std::uint64_t>(4096 + 64ull * (i + 1) * 7);
         });
 }
-BENCHMARK(BM_MemoryMissLoad);
+BENCHMARK(BM_MemoryMissLoad)->UseManualTime();
 
 void
 BM_LoadSetMarkHit(benchmark::State &state)
@@ -110,7 +155,7 @@ BM_LoadSetMarkHit(benchmark::State &state)
             core.loadSetMark<std::uint64_t>(4096);
         });
 }
-BENCHMARK(BM_LoadSetMarkHit);
+BENCHMARK(BM_LoadSetMarkHit)->UseManualTime();
 
 void
 BM_LoadTestMarkHit(benchmark::State &state)
@@ -127,7 +172,7 @@ BM_LoadTestMarkHit(benchmark::State &state)
             benchmark::DoNotOptimize(marked);
         });
 }
-BENCHMARK(BM_LoadTestMarkHit);
+BENCHMARK(BM_LoadTestMarkHit)->UseManualTime();
 
 void
 BM_Cas(benchmark::State &state)
@@ -142,34 +187,36 @@ BM_Cas(benchmark::State &state)
             core.cas<std::uint64_t>(4096, i, i + 1);
         });
 }
-BENCHMARK(BM_Cas);
+BENCHMARK(BM_Cas)->UseManualTime();
 
 /** Read-barrier cost per scheme: repeated reads of one hot field. */
 void
 barrierBench(benchmark::State &state, TmScheme scheme, bool repeat_same)
 {
-    for (auto _ : state) {
-        (void)_;
+    const int reps = 128;
+    timedBodies(state, reps, [&] {
         Machine machine(benchMachine());
         SessionConfig sc;
         sc.scheme = scheme;
         sc.numThreads = 1;
         TmSession session(machine, sc);
         Cycles used = 0;
+        double secs = 0;
         machine.run({[&](Core &core) {
             TmThread &t = session.threadFor(core);
             Addr obj = t.txAlloc(8 * 128);
             t.atomic([&] { t.readField(obj, 0); });  // policy warmup
             Cycles t0 = core.cycles();
-            const int reps = 128;
+            auto h0 = std::chrono::steady_clock::now();
             t.atomic([&] {
                 for (int i = 0; i < reps; ++i)
                     t.readField(obj, repeat_same ? 0 : 8 * i);
             });
-            used = (core.cycles() - t0) / reps;
+            secs = secondsSince(h0);
+            used = core.cycles() - t0;
         }});
-        state.counters["SimCycles"] = benchmark::Counter(double(used));
-    }
+        return std::pair{used, secs};
+    });
 }
 
 void
@@ -177,35 +224,35 @@ BM_ReadBarrier_Stm_Repeated(benchmark::State &state)
 {
     barrierBench(state, TmScheme::Stm, true);
 }
-BENCHMARK(BM_ReadBarrier_Stm_Repeated);
+BENCHMARK(BM_ReadBarrier_Stm_Repeated)->UseManualTime();
 
 void
 BM_ReadBarrier_Hastm_Repeated(benchmark::State &state)
 {
     barrierBench(state, TmScheme::Hastm, true);
 }
-BENCHMARK(BM_ReadBarrier_Hastm_Repeated);
+BENCHMARK(BM_ReadBarrier_Hastm_Repeated)->UseManualTime();
 
 void
 BM_ReadBarrier_Hytm_Repeated(benchmark::State &state)
 {
     barrierBench(state, TmScheme::Hytm, true);
 }
-BENCHMARK(BM_ReadBarrier_Hytm_Repeated);
+BENCHMARK(BM_ReadBarrier_Hytm_Repeated)->UseManualTime();
 
 void
 BM_ReadBarrier_Stm_Distinct(benchmark::State &state)
 {
     barrierBench(state, TmScheme::Stm, false);
 }
-BENCHMARK(BM_ReadBarrier_Stm_Distinct);
+BENCHMARK(BM_ReadBarrier_Stm_Distinct)->UseManualTime();
 
 void
 BM_ReadBarrier_Hastm_Distinct(benchmark::State &state)
 {
     barrierBench(state, TmScheme::Hastm, false);
 }
-BENCHMARK(BM_ReadBarrier_Hastm_Distinct);
+BENCHMARK(BM_ReadBarrier_Hastm_Distinct)->UseManualTime();
 
 /**
  * Host throughput of whole experiments: how many simulated
@@ -261,29 +308,31 @@ BENCHMARK(BM_HostThroughput_Micro);
 void
 BM_WriteBarrier_Stm(benchmark::State &state)
 {
-    for (auto _ : state) {
-        (void)_;
+    const int reps = 128;
+    timedBodies(state, reps, [&] {
         Machine machine(benchMachine());
         SessionConfig sc;
         sc.scheme = TmScheme::Stm;
         sc.numThreads = 1;
         TmSession session(machine, sc);
         Cycles used = 0;
+        double secs = 0;
         machine.run({[&](Core &core) {
             TmThread &t = session.threadFor(core);
             Addr obj = t.txAlloc(8 * 128);
             Cycles t0 = core.cycles();
-            const int reps = 128;
+            auto h0 = std::chrono::steady_clock::now();
             t.atomic([&] {
                 for (int i = 0; i < reps; ++i)
                     t.writeField(obj, 8 * i, i);
             });
-            used = (core.cycles() - t0) / reps;
+            secs = secondsSince(h0);
+            used = core.cycles() - t0;
         }});
-        state.counters["SimCycles"] = benchmark::Counter(double(used));
-    }
+        return std::pair{used, secs};
+    });
 }
-BENCHMARK(BM_WriteBarrier_Stm);
+BENCHMARK(BM_WriteBarrier_Stm)->UseManualTime();
 
 } // namespace
 

@@ -1,7 +1,6 @@
 #include "cpu/core.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "sim/fault.hh"
 #include "sim/logging.hh"
@@ -44,31 +43,23 @@ Core::Core(CoreId id, MemSystem &mem, Scheduler &sched,
            const TimingParams &timing)
     : id_(id), mem_(mem), sched_(sched), timing_(timing)
 {
+    // The store-queue ring needs a slot for the store being pushed.
+    if (timing_.storeQueueSize == 0)
+        panic("core %u: TimingParams::storeQueueSize must be at least 1",
+              unsigned(id_));
+    storeQueue_.resize(timing_.storeQueueSize);
+    for (unsigned n = 0; n < ilpCycles_.size(); ++n)
+        ilpCycles_[n] = ilpCharge(n);
+    for (Cycles lat = 0; lat < metaCycles_.size(); ++lat)
+        metaCycles_[lat] = metaCharge(lat);
     mem_.setListener(id_, this);
     for (auto &per_smt : markCounter_)
         per_smt.fill(0);
 }
 
 void
-Core::advance(Cycles c)
+Core::interrupt()
 {
-    totalCycles_ += c;
-    phaseCycles_[std::size_t(phaseStack_.back())] += c;
-    if (timing_.interruptQuantum > 0)
-        sinceInterrupt_ += c;
-    sched_.advance(c);
-    maybeInterrupt();
-    if (totalCycles_ >= faultDue_)
-        maybeFault();
-}
-
-void
-Core::maybeInterrupt()
-{
-    if (timing_.interruptQuantum == 0 ||
-        sinceInterrupt_ < timing_.interruptQuantum) {
-        return;
-    }
     sinceInterrupt_ = 0;
     // An OS interrupt is a ring transition: the hardware (or the OS
     // on its way back to user mode) executes resetmarkall, so marks
@@ -77,7 +68,7 @@ Core::maybeInterrupt()
     // validation (§5).
     Cycles cost = timing_.interruptCost;
     totalCycles_ += cost;
-    phaseCycles_[std::size_t(phaseStack_.back())] += cost;
+    phaseCycles_[std::size_t(phase_)] += cost;
     if (fullMarkIsa_) {
         for (unsigned f = 0; f < kNumFilters; ++f)
             mem_.resetMarkAll(id_, smt_, f);
@@ -112,8 +103,8 @@ void
 Core::injectContextSwitch(Cycles cost)
 {
     totalCycles_ += cost;
-    phaseCycles_[std::size_t(phaseStack_.back())] += cost;
-    // A full preemption (unlike maybeInterrupt()'s ring transition it
+    phaseCycles_[std::size_t(phase_)] += cost;
+    // A full preemption (unlike interrupt()'s ring transition it
     // descheduled every hardware context): all filters of all SMT
     // contexts lose their marks and the counters record the loss...
     if (fullMarkIsa_) {
@@ -145,41 +136,45 @@ Core::countAccess(const AccessResult &r, bool is_write)
 Cycles
 Core::storeQueuePush()
 {
+    const unsigned size = timing_.storeQueueSize;
+    auto pop = [&] {
+        sqHead_ = sqHead_ + 1 == size ? 0 : sqHead_ + 1;
+        --sqCount_;
+    };
     Cycles now = totalCycles_;
-    while (!storeQueue_.empty() && storeQueue_.front() <= now)
-        storeQueue_.pop_front();
+    while (sqCount_ > 0 && storeQueue_[sqHead_] <= now)
+        pop();
     Cycles stall = 0;
-    if (storeQueue_.size() >= timing_.storeQueueSize) {
-        stall = storeQueue_.front() - now;
-        now = storeQueue_.front();
-        storeQueue_.pop_front();
+    if (sqCount_ == size) {
+        stall = storeQueue_[sqHead_] - now;
+        now = storeQueue_[sqHead_];
+        pop();
     }
-    storeQueue_.push_back(now + timing_.storeRetireLat);
+    unsigned tail = sqHead_ + sqCount_;
+    storeQueue_[tail >= size ? tail - size : tail] =
+        now + timing_.storeRetireLat;
+    ++sqCount_;
     return stall;
 }
 
 void
 Core::execInstr(unsigned n)
 {
-    totalInstrs_ += n;
-    phaseInstrs_[std::size_t(phaseStack_.back())] += n;
+    noteInstr(n);
     advance(n);
 }
 
 void
 Core::execInstrIlp(unsigned n)
 {
-    totalInstrs_ += n;
-    phaseInstrs_[std::size_t(phaseStack_.back())] += n;
-    advance(static_cast<Cycles>(
-        std::ceil(static_cast<double>(n) * timing_.ilpFactor)));
+    noteInstr(n);
+    advance(n < ilpCycles_.size() ? ilpCycles_[n] : ilpCharge(n));
 }
 
 void
 Core::dependentBranch()
 {
-    totalInstrs_ += 1;
-    phaseInstrs_[std::size_t(phaseStack_.back())] += 1;
+    noteInstr(1);
     advance(timing_.depBranchPenalty);
 }
 
@@ -193,6 +188,7 @@ void
 Core::pushPhase(Phase p)
 {
     phaseStack_.push_back(p);
+    phase_ = p;
 }
 
 void
@@ -200,6 +196,7 @@ Core::popPhase()
 {
     HASTM_ASSERT(phaseStack_.size() > 1);
     phaseStack_.pop_back();
+    phase_ = phaseStack_.back();
 }
 
 Cycles
@@ -217,7 +214,8 @@ Core::phaseInstrs(Phase p) const
 void
 Core::setSmt(SmtId smt)
 {
-    HASTM_ASSERT(smt < kMaxSmt);
+    // The L1-hit fast path treats numSmt == 1 as "no SMT sibling".
+    HASTM_ASSERT(smt < mem_.params().numSmt);
     smt_ = smt;
 }
 
@@ -235,7 +233,7 @@ Core::resetCounters()
     totalCycles_ = 0;
     totalInstrs_ = 0;
     loads_ = stores_ = l1HitLoads_ = 0;
-    storeQueue_.clear();
+    sqHead_ = sqCount_ = 0;
     sinceInterrupt_ = 0;
 }
 

@@ -14,16 +14,25 @@
  *    follows and is charged depBranchPenalty (§7.3);
  *  - loadsetmark consumes a store-queue entry in addition to the load
  *    port (§7), modelled with a bounded store-retire ring.
+ *
+ * Host-side fast paths (no simulated-behaviour change): every data
+ * access (loads, stores, CASes, the mark-bit and HTM loads) tries
+ * MemSystem::tryL1Hit() before the full access(); the
+ * ILP and MetaScope charges come from integer tables built from
+ * TimingParams at construction; the store queue is a fixed ring of
+ * storeQueueSize slots; the current phase is cached beside the phase
+ * stack.
  */
 
 #ifndef HASTM_CPU_CORE_HH
 #define HASTM_CPU_CORE_HH
 
 #include <array>
+#include <cmath>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "mem/mem_system.hh"
 #include "sim/scheduler.hh"
@@ -68,7 +77,7 @@ struct TimingParams
     double metaOverlap = 0.25;
     Cycles depBranchPenalty = 2;  //!< loadtestmark -> jnae resolution
     Cycles casLat = 12;           //!< extra cycles for a CAS
-    unsigned storeQueueSize = 32;
+    unsigned storeQueueSize = 32; //!< in-flight stores; at least 1
     Cycles storeRetireLat = 3;    //!< store-queue occupancy per store
     Cycles interruptQuantum = 0;  //!< 0 = no interrupt injection
     Cycles interruptCost = 2000;  //!< cycles charged per interrupt
@@ -130,7 +139,7 @@ class Core : public MemListener
     T
     load(Addr a)
     {
-        AccessResult r = mem_.access(id_, smt_, a, sizeof(T), false);
+        AccessResult r = dataAccess(a, sizeof(T), false);
         T v = mem_.arena().read<T>(a);
         countAccess(r, false);
         noteInstr(1);
@@ -145,7 +154,7 @@ class Core : public MemListener
         // Coherence first: a remote speculative writer of this line
         // gets aborted (restoring its pre-transaction values) before
         // our value lands, so the rollback cannot clobber it.
-        AccessResult r = mem_.access(id_, smt_, a, sizeof(T), true);
+        AccessResult r = dataAccess(a, sizeof(T), true);
         mem_.arena().write<T>(a, v);
         countAccess(r, true);
         noteInstr(1);
@@ -162,7 +171,7 @@ class Core : public MemListener
     {
         // As in store(): resolve conflicts (aborting speculative
         // remote writers) before reading the committed value.
-        AccessResult r = mem_.access(id_, smt_, a, sizeof(T), true);
+        AccessResult r = dataAccess(a, sizeof(T), true);
         T old = mem_.arena().read<T>(a);
         if (old == expected)
             mem_.arena().write<T>(a, desired);
@@ -183,7 +192,7 @@ class Core : public MemListener
     T
     loadSpec(Addr a, bool &tracked)
     {
-        AccessResult r = mem_.access(id_, smt_, a, sizeof(T), false);
+        AccessResult r = dataAccess(a, sizeof(T), false);
         T v = mem_.arena().read<T>(a);
         tracked = mem_.setSpec(id_, a, sizeof(T), false);
         countAccess(r, false);
@@ -202,7 +211,7 @@ class Core : public MemListener
     AccessResult
     memAccess(Addr a, unsigned size, bool is_write)
     {
-        AccessResult r = mem_.access(id_, smt_, a, size, is_write);
+        AccessResult r = dataAccess(a, size, is_write);
         countAccess(r, is_write);
         return r;
     }
@@ -264,7 +273,7 @@ class Core : public MemListener
 
     void pushPhase(Phase p);
     void popPhase();
-    Phase currentPhase() const { return phaseStack_.back(); }
+    Phase currentPhase() const { return phase_; }
     Cycles phaseCycles(Phase p) const;
     std::uint64_t phaseInstrs(Phase p) const;
 
@@ -314,7 +323,7 @@ class Core : public MemListener
      * Model an OS context switch hitting this core: charge @p cost
      * cycles, wipe every SMT context's mark state (marks do not
      * survive a switch, §3) and all speculative state, then yield.
-     * Unlike the quantum-based maybeInterrupt() path this clears all
+     * Unlike the quantum-based interrupt() path this clears all
      * contexts/filters — a core-wide preemption, not a ring crossing.
      */
     void injectContextSwitch(Cycles cost);
@@ -331,7 +340,30 @@ class Core : public MemListener
     friend class PhaseScope;
 
     /** Charge cycles, attribute to the current phase, maybe yield. */
-    void advance(Cycles c);
+    void
+    advance(Cycles c)
+    {
+        totalCycles_ += c;
+        phaseCycles_[std::size_t(phase_)] += c;
+        if (timing_.interruptQuantum > 0)
+            sinceInterrupt_ += c;
+        sched_.advance(c);
+        if (timing_.interruptQuantum > 0 &&
+            sinceInterrupt_ >= timing_.interruptQuantum)
+            interrupt();
+        if (totalCycles_ >= faultDue_)
+            maybeFault();
+    }
+
+    /** A data access: the inline L1-hit path, else the full access. */
+    AccessResult
+    dataAccess(Addr a, unsigned size, bool is_write)
+    {
+        AccessResult r;
+        if (!mem_.tryL1Hit(id_, a, size, is_write, r))
+            r = mem_.access(id_, smt_, a, size, is_write);
+        return r;
+    }
 
     /** Latency charge for a memory access, honouring MetaScope. */
     Cycles
@@ -339,8 +371,24 @@ class Core : public MemListener
     {
         if (metaDepth_ == 0)
             return lat;
+        return lat < metaCycles_.size() ? metaCycles_[lat]
+                                        : metaCharge(lat);
+    }
+
+    /** MetaScope charge for @p lat (metaCycles_ holds lat < 256). */
+    Cycles
+    metaCharge(Cycles lat) const
+    {
         return static_cast<Cycles>(
             static_cast<double>(lat) * timing_.metaOverlap + 0.999);
+    }
+
+    /** ILP-batch charge for @p n (ilpCycles_ holds n < 64). */
+    Cycles
+    ilpCharge(unsigned n) const
+    {
+        return static_cast<Cycles>(
+            std::ceil(static_cast<double>(n) * timing_.ilpFactor));
     }
 
     /** Count @p n retired instructions against the current phase. */
@@ -348,7 +396,7 @@ class Core : public MemListener
     noteInstr(unsigned n)
     {
         totalInstrs_ += n;
-        phaseInstrs_[std::size_t(phaseStack_.back())] += n;
+        phaseInstrs_[std::size_t(phase_)] += n;
     }
 
     /** Count an access; track L1-hit loads for reuse statistics. */
@@ -357,8 +405,8 @@ class Core : public MemListener
     /** Model store-queue occupancy; returns stall cycles. */
     Cycles storeQueuePush();
 
-    /** Inject a pending OS interrupt (ring transition) if due. */
-    void maybeInterrupt();
+    /** Inject an OS interrupt (ring transition); the quantum is due. */
+    void interrupt();
 
     /** Fire the fault injector if its due time has passed. */
     void maybeFault();
@@ -374,6 +422,7 @@ class Core : public MemListener
         markCounter_{};
 
     std::vector<Phase> phaseStack_{Phase::App};
+    Phase phase_ = Phase::App;        //!< phaseStack_.back()
     std::array<Cycles, std::size_t(Phase::NumPhases)> phaseCycles_{};
     std::array<std::uint64_t, std::size_t(Phase::NumPhases)> phaseInstrs_{};
 
@@ -383,7 +432,12 @@ class Core : public MemListener
     std::uint64_t stores_ = 0;
     std::uint64_t l1HitLoads_ = 0;
 
-    std::deque<Cycles> storeQueue_;   //!< retire times of in-flight stores
+    /** Retire times of in-flight stores: a ring, oldest at sqHead_. */
+    std::vector<Cycles> storeQueue_;
+    unsigned sqHead_ = 0;
+    unsigned sqCount_ = 0;
+    std::array<Cycles, 64> ilpCycles_{};    //!< ilpCharge(n), n < 64
+    std::array<Cycles, 256> metaCycles_{};  //!< metaCharge(lat), lat < 256
     unsigned metaDepth_ = 0;          //!< live MetaScope count
     Cycles sinceInterrupt_ = 0;
 

@@ -34,7 +34,7 @@ Core::loadSetMark(Addr a, unsigned gran, unsigned filter)
 {
     if (gran == 0)
         gran = sizeof(T);
-    AccessResult r = mem_.access(id_, smt_, a, sizeof(T), false);
+    AccessResult r = dataAccess(a, sizeof(T), false);
     T v = mem_.arena().read<T>(a);
     countAccess(r, false);
     noteInstr(1);
@@ -57,7 +57,7 @@ Core::loadResetMark(Addr a, unsigned gran, unsigned filter)
 {
     if (gran == 0)
         gran = sizeof(T);
-    AccessResult r = mem_.access(id_, smt_, a, sizeof(T), false);
+    AccessResult r = dataAccess(a, sizeof(T), false);
     T v = mem_.arena().read<T>(a);
     countAccess(r, false);
     noteInstr(1);
@@ -73,7 +73,7 @@ Core::loadTestMark(Addr a, bool &marked, unsigned gran, unsigned filter)
 {
     if (gran == 0)
         gran = sizeof(T);
-    AccessResult r = mem_.access(id_, smt_, a, sizeof(T), false);
+    AccessResult r = dataAccess(a, sizeof(T), false);
     T v = mem_.arena().read<T>(a);
     countAccess(r, false);
     noteInstr(1);
@@ -92,7 +92,7 @@ Core::loadSetMarkLine(Addr a, unsigned filter)
 {
     const unsigned line = mem_.params().l1.lineSize;
     Addr la = a & ~static_cast<Addr>(line - 1);
-    AccessResult r = mem_.access(id_, smt_, a, sizeof(T), false);
+    AccessResult r = dataAccess(a, sizeof(T), false);
     T v = mem_.arena().read<T>(a);
     countAccess(r, false);
     noteInstr(1);
@@ -113,7 +113,7 @@ Core::loadTestMarkLine(Addr a, bool &marked, unsigned filter)
 {
     const unsigned line = mem_.params().l1.lineSize;
     Addr la = a & ~static_cast<Addr>(line - 1);
-    AccessResult r = mem_.access(id_, smt_, a, sizeof(T), false);
+    AccessResult r = dataAccess(a, sizeof(T), false);
     T v = mem_.arena().read<T>(a);
     countAccess(r, false);
     noteInstr(1);

@@ -24,12 +24,6 @@ Cache::Cache(std::string name, const CacheParams &params)
     mruWay_.resize(params_.numSets(), 0);
 }
 
-std::uint32_t
-Cache::setIndex(Addr a) const
-{
-    return static_cast<std::uint32_t>(a >> lineShift_) & setMask_;
-}
-
 CacheLine *
 Cache::findLine(Addr a)
 {
@@ -82,7 +76,7 @@ Cache::fill(CacheLine &frame, Addr a, MesiState state)
     touch(frame);
     std::uint32_t si = setIndex(a);
     mruWay_[si] = static_cast<std::uint8_t>(
-        indexOf(frame) - std::size_t(si) * params_.assoc);
+        frameOf(frame) - std::size_t(si) * params_.assoc);
 }
 
 void

@@ -11,7 +11,11 @@
  *  - the set index is a shift and a mask precomputed from the
  *    power-of-two geometry, not two divisions per lookup;
  *  - a per-set MRU way hint lets repeat hits skip the associativity
- *    scan in findLine();
+ *    scan in findLine(), and mruLine() checks only that way, inline,
+ *    for MemSystem's L1-hit path;
+ *  - each L1 line records its inclusive-L2 frame (CacheLine::l2Frame,
+ *    reached through lineAt()), so the L1 side finds its directory
+ *    entry without an L2 tag lookup;
  *  - interest lists of possibly-marked / possibly-speculative lines
  *    let resetMarkAll / clearSpecAll walk only those lines instead of
  *    the whole tag array;
@@ -62,8 +66,28 @@ struct CacheParams
 struct CacheLine
 {
     Addr tag = 0;                 //!< line-aligned address
-    MesiState state = MesiState::Invalid;
     std::uint64_t lruStamp = 0;
+
+    /**
+     * Directory sidecar, used on L2 lines only: bitmap of the L1
+     * caches currently holding a copy of this line (the shared L2 is
+     * inclusive, so it can answer "which cores must be snooped" for
+     * every line). Maintained by MemSystem on every L1 fill and
+     * invalidation; purely a host-side acceleration — coherence
+     * actions driven through it are identical to an all-cores scan.
+     */
+    std::uint32_t sharers = 0;
+
+    /**
+     * Used on L1 lines only: the frame index (Cache::frameOf) of this
+     * line in the inclusive L2, set by MemSystem at fill. Inclusion
+     * keeps the L2 line in that frame for as long as the L1 copy is
+     * valid, so the L1 side reaches its directory entry without a tag
+     * lookup.
+     */
+    std::uint32_t l2Frame = 0;
+
+    MesiState state = MesiState::Invalid;
     bool prefetched = false;      //!< brought in by the prefetcher
 
     /**
@@ -75,16 +99,6 @@ struct CacheLine
     /** HTM speculative-read / speculative-write bits. */
     bool specRead = false;
     bool specWrite = false;
-
-    /**
-     * Directory sidecar, used on L2 lines only: bitmap of the L1
-     * caches currently holding a copy of this line (the shared L2 is
-     * inclusive, so it can answer "which cores must be snooped" for
-     * every line). Maintained by MemSystem on every L1 fill and
-     * invalidation; purely a host-side acceleration — coherence
-     * actions driven through it are identical to an all-cores scan.
-     */
-    std::uint32_t sharers = 0;
 
     /**
      * Host-side membership flags for the owning cache's marked- and
@@ -139,9 +153,39 @@ class Cache
         return a & ~static_cast<Addr>(params_.lineSize - 1);
     }
 
+    /** True when [a, a+size) lies within one line. */
+    bool
+    withinLine(Addr a, unsigned size) const
+    {
+        return (a & (params_.lineSize - 1)) + size <= params_.lineSize;
+    }
+
     /** Find the line holding @p a; nullptr on miss. */
     CacheLine *findLine(Addr a);
     const CacheLine *findLine(Addr a) const;
+
+    /**
+     * The line holding @p a if it sits in its set's most-recently-hit
+     * way, else nullptr (the line may still be in another way).
+     */
+    CacheLine *
+    mruLine(Addr a)
+    {
+        std::uint32_t si = setIndex(a);
+        CacheLine &line = lines_[std::size_t(si) * params_.assoc +
+                                 mruWay_[si]];
+        return line.valid() && line.tag == lineAddr(a) ? &line : nullptr;
+    }
+
+    /** Frame index of @p line: its position in the set-major array. */
+    std::uint32_t
+    frameOf(const CacheLine &line) const
+    {
+        return static_cast<std::uint32_t>(&line - lines_.data());
+    }
+
+    /** The line in frame @p frame (see frameOf). */
+    CacheLine &lineAt(std::uint32_t frame) { return lines_[frame]; }
 
     /**
      * Choose a victim frame in @p a's set: an invalid frame if one
@@ -186,7 +230,7 @@ class Cache
     {
         if (!line.inMarkedList) {
             line.inMarkedList = true;
-            markedLines_.push_back(indexOf(line));
+            markedLines_.push_back(frameOf(line));
         }
     }
 
@@ -196,7 +240,7 @@ class Cache
     {
         if (!line.inSpecList) {
             line.inSpecList = true;
-            specLines_.push_back(indexOf(line));
+            specLines_.push_back(frameOf(line));
         }
     }
 
@@ -232,12 +276,10 @@ class Cache
     unsigned validLines() const { return validCount_; }
 
   private:
-    std::uint32_t setIndex(Addr a) const;
-
     std::uint32_t
-    indexOf(const CacheLine &line) const
+    setIndex(Addr a) const
     {
-        return static_cast<std::uint32_t>(&line - lines_.data());
+        return static_cast<std::uint32_t>(a >> lineShift_) & setMask_;
     }
 
     /**

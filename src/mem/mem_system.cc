@@ -53,13 +53,13 @@ MemSystem::setListener(CoreId core, MemListener *listener)
 
 template <typename Fn>
 void
-MemSystem::forEachRemoteHolder(Addr la, CoreId self, Fn &&fn)
+MemSystem::forEachRemoteHolder(Addr la, CacheLine *l2line, CoreId self,
+                               Fn &&fn)
 {
     if (params_.sharerDirectory) {
         // Inclusion means every L1-resident line is in the L2, so the
         // L2 line's sharer bitmap is the complete holder set; a
         // directory miss means no L1 can hold the line.
-        CacheLine *l2line = l2_->findLine(la);
         if (!l2line)
             return;
         std::uint32_t bits =
@@ -108,8 +108,7 @@ MemSystem::invalidateL1Line(CoreId core, CacheLine &line, SpecLoss why)
             l->specLost(why);
     }
     // Keep the directory exact: this core stops sharing the line.
-    if (CacheLine *l2line = l2_->findLine(line.tag))
-        l2line->sharers &= ~(std::uint32_t(1) << core);
+    l2_->lineAt(line.l2Frame).sharers &= ~(std::uint32_t(1) << core);
     l1s_[core]->invalidate(line);
 }
 
@@ -122,9 +121,9 @@ MemSystem::evictL1Line(CoreId core, CacheLine &line)
 }
 
 CacheLine *
-MemSystem::l2Fill(Addr la, AccessResult &res, bool &hit)
+MemSystem::l2Fill(Addr la, CacheLine *line, AccessResult &res, bool &hit)
 {
-    if (CacheLine *line = l2_->findLine(la)) {
+    if (line) {
         l2_->touch(*line);
         res.l2Hit = true;
         hit = true;
@@ -168,11 +167,13 @@ MemSystem::l1Fill(CoreId core, Addr la, MesiState state, bool prefetched,
         evictL1Line(core, *victim);
     l1.fill(*victim, la, state);
     victim->prefetched = prefetched;
-    // Register the new copy in the L2 directory. The pointer from
-    // l2Fill stays valid across the intervening snoops: they touch
-    // L2 sharer bitmaps but never move or evict L2 lines.
+    // Register the new copy in the L2 directory and remember its
+    // frame. The pointer from l2Fill stays valid across the
+    // intervening snoops: they touch L2 sharer bitmaps but never move
+    // or evict L2 lines.
     HASTM_ASSERT(l2line != nullptr && l2line->tag == la);
     l2line->sharers |= std::uint32_t(1) << core;
+    victim->l2Frame = l2_->frameOf(*l2line);
 }
 
 void
@@ -190,9 +191,11 @@ MemSystem::prefetch(CoreId core, Addr next_la, bool exclusive)
     prefetches_.inc();
     AccessResult dummy;
     bool l2hit = false;
-    CacheLine *l2line = l2Fill(next_la, dummy, l2hit);
+    CacheLine *l2line = l2Fill(next_la, l2_->findLine(next_la), dummy,
+                               l2hit);
     bool shared_elsewhere = false;
-    forEachRemoteHolder(next_la, core, [&](CoreId c, CacheLine &line) {
+    forEachRemoteHolder(next_la, l2line, core,
+                        [&](CoreId c, CacheLine &line) {
         if (exclusive) {
             invalidateL1Line(c, line, SpecLoss::Conflict);
         } else {
@@ -217,25 +220,19 @@ MemSystem::accessLine(CoreId core, SmtId smt, Addr addr, unsigned len,
     Addr la = l1.lineAddr(addr);
     CacheLine *line = l1.findLine(la);
 
+    if (l1Hit(core, line, is_write, res))
+        return;
     if (line) {
-        // ------------------------------------------------- L1 hit
-        l1Hits_[core].inc();
-        res.l1Hit = true;
-        l1.touch(*line);
-        if (!is_write) {
-            res.latency += params_.l1HitLat;
-            return;
-        }
+        // ------------------------------------- L1 write hit, slow path
         if (line->state == MesiState::Shared) {
             // Ownership upgrade: invalidate every other copy.
             upgrades_.inc();
             res.latency += params_.upgradeLat;
-            forEachRemoteHolder(la, core, [&](CoreId c, CacheLine &other) {
+            forEachRemoteHolder(la, &l2_->lineAt(line->l2Frame), core,
+                                [&](CoreId c, CacheLine &other) {
                 invalidateL1Line(c, other, SpecLoss::Conflict);
             });
         }
-        line->state = MesiState::Modified;
-        res.latency += params_.storeHitLat;
         // An SMT sibling's marks on this line are invalidated by our
         // store (§3.1); our own thread's marks persist.
         for (SmtId t = 0; t < params_.numSmt; ++t) {
@@ -250,6 +247,7 @@ MemSystem::accessLine(CoreId core, SmtId smt, Addr addr, unsigned len,
                 }
             }
         }
+        chargeL1Hit(core, *line, true, res);
         return;
     }
 
@@ -260,8 +258,11 @@ MemSystem::accessLine(CoreId core, SmtId smt, Addr addr, unsigned len,
     // the remote hardware transaction before we can observe the data
     // (its rollback happens synchronously inside invalidateL1Line via
     // the listener). A write also conflicts with remote spec reads.
+    // One L2 lookup serves the snoop and the fill.
+    CacheLine *l2line = l2_->findLine(la);
     bool shared_elsewhere = false;
-    forEachRemoteHolder(la, core, [&](CoreId c, CacheLine &remote) {
+    forEachRemoteHolder(la, l2line, core,
+                        [&](CoreId c, CacheLine &remote) {
         if (remote.state == MesiState::Modified ||
             remote.state == MesiState::Exclusive) {
             dirtyForwards_.inc();
@@ -276,7 +277,7 @@ MemSystem::accessLine(CoreId core, SmtId smt, Addr addr, unsigned len,
     });
 
     bool l2hit = false;
-    CacheLine *l2line = l2Fill(la, res, l2hit);
+    l2line = l2Fill(la, l2line, res, l2hit);
     if (l2hit) {
         l2Hits_[core].inc();
         res.latency += params_.l2HitLat;

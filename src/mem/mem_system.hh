@@ -13,6 +13,14 @@
  * and inclusion back-invalidations visit only actual sharers instead
  * of probing every core (MemParams::sharerDirectory gates the fast
  * path; the reference all-cores scan is kept for equivalence tests).
+ * Each L1 line records the frame of its L2 copy, so dropping an L1
+ * copy clears its sharer bit without an L2 lookup, and a miss looks
+ * its L2 line up once for both the snoop and the fill.
+ *
+ * The common case never leaves this header: tryL1Hit() charges a
+ * single-line hit in the set's most-recently-hit way that needs no
+ * coherence work, with the same hit routine accessLine() uses, and
+ * cores try it before access().
  *
  * The hierarchy is where the paper's hardware mechanisms live:
  *  - per-thread mark bits on L1 sub-blocks (§3.1, Fig 1), whose
@@ -124,6 +132,23 @@ class MemSystem
     AccessResult access(CoreId core, SmtId smt, Addr addr, unsigned size,
                         bool is_write);
 
+    /**
+     * The inline L1-hit path, tried before access(). It takes a
+     * single-line access that hits the line in its L1 set's
+     * most-recently-hit way, when the hit needs no coherence work: a
+     * read, or a write to an Exclusive/Modified line without SMT
+     * siblings. It then charges exactly what access() would and
+     * returns true; otherwise it changes nothing and returns false.
+     */
+    bool
+    tryL1Hit(CoreId core, Addr addr, unsigned size, bool is_write,
+             AccessResult &res)
+    {
+        Cache &l1 = *l1s_[core];
+        return l1.withinLine(addr, size) &&
+            l1Hit(core, l1.mruLine(addr), is_write, res);
+    }
+
     // ---- mark-bit operations (used by cpu::MarkIsa) ----
 
     /** OR the sub-block mask covering [addr,addr+len) into the marks. */
@@ -186,13 +211,51 @@ class MemSystem
 
   private:
     /**
+     * The L1-hit test shared by tryL1Hit() and accessLine(): charge a
+     * hit on @p line (nullptr = miss) in @p core's L1 unless it is a
+     * write that needs coherence work first (a Shared line's upgrade,
+     * or SMT siblings' marks to clear). Returns false, having changed
+     * nothing, when it does not charge.
+     */
+    bool
+    l1Hit(CoreId core, CacheLine *line, bool is_write, AccessResult &res)
+    {
+        if (!line || (is_write && (line->state == MesiState::Shared ||
+                                   params_.numSmt != 1)))
+            return false;
+        chargeL1Hit(core, *line, is_write, res);
+        return true;
+    }
+
+    /**
+     * The one L1-hit charge: count the hit, touch @p line's LRU stamp,
+     * and add the hit latency. A write leaves the line Modified.
+     */
+    void
+    chargeL1Hit(CoreId core, CacheLine &line, bool is_write,
+                AccessResult &res)
+    {
+        l1Hits_[core].inc();
+        res.l1Hit = true;
+        l1s_[core]->touch(line);
+        if (is_write) {
+            line.state = MesiState::Modified;
+            res.latency += params_.storeHitLat;
+        } else {
+            res.latency += params_.l1HitLat;
+        }
+    }
+
+    /**
      * Call @p fn(core, line) for every L1 other than @p self holding
-     * @p la, in ascending core order. Uses the L2 sharer directory
+     * @p la, in ascending core order. @p l2line is @p la's line in the
+     * inclusive L2, nullptr if absent. Uses the L2 sharer directory
      * when enabled, else the reference scan over every core. @p fn
      * may invalidate the line it is handed.
      */
     template <typename Fn>
-    void forEachRemoteHolder(Addr la, CoreId self, Fn &&fn);
+    void forEachRemoteHolder(Addr la, CacheLine *l2line, CoreId self,
+                             Fn &&fn);
     /** Invalidate @p line in @p core's L1, reporting mark/spec losses. */
     void invalidateL1Line(CoreId core, CacheLine &line, SpecLoss why);
 
@@ -200,12 +263,14 @@ class MemSystem
     void evictL1Line(CoreId core, CacheLine &line);
 
     /**
-     * Ensure @p la is present in the L2, evicting inclusively. Sets
-     * @p hit if the line was already resident and returns the L2
-     * line (never null) so callers can update its sharer directory
-     * without a second tag lookup.
+     * Ensure @p la is present in the L2, evicting inclusively.
+     * @p line is @p la's L2 line from the caller's own lookup (nullptr
+     * if absent). Sets @p hit if the line was already resident and
+     * returns the L2 line (never null) so callers can update its
+     * sharer directory without a second tag lookup.
      */
-    CacheLine *l2Fill(Addr la, AccessResult &res, bool &hit);
+    CacheLine *l2Fill(Addr la, CacheLine *line, AccessResult &res,
+                      bool &hit);
 
     /**
      * Fill @p la into @p core's L1 with @p state, evicting a victim.

@@ -18,23 +18,22 @@ Scheduler::spawn(ThreadFn fn, Cycles start_time)
         threadExit();
     });
     threads_.push_back(std::move(t));
+    rebuildRunQueue();
     return id;
 }
 
-ThreadId
-Scheduler::pickNext() const
+void
+Scheduler::rebuildRunQueue()
 {
-    ThreadId best = kNoThread;
-    Cycles best_time = 0;
+    runQueue_.clear();
     for (const auto &t : threads_) {
-        if (t->state != ThreadState::Runnable)
-            continue;
-        if (best == kNoThread || t->time < best_time) {
-            best = t->id;
-            best_time = t->time;
-        }
+        if (t->state == ThreadState::Runnable && t->id != current_)
+            runQueue_.push_back(t.get());
     }
-    return best;
+    std::sort(runQueue_.begin(), runQueue_.end(),
+              [](const Thread *a, const Thread *b) {
+                  return runsBefore(*a, *b);
+              });
 }
 
 void
@@ -42,8 +41,8 @@ Scheduler::run()
 {
     HASTM_ASSERT(current_ == kNoThread);
     for (;;) {
-        ThreadId next = pickNext();
-        if (next == kNoThread) {
+        rebuildRunQueue();
+        if (runQueue_.empty()) {
             // Either done, or everyone is blocked: that is a deadlock.
             for (const auto &t : threads_) {
                 if (t->state != ThreadState::Finished)
@@ -54,9 +53,11 @@ Scheduler::run()
             }
             return;
         }
-        current_ = next;
+        Thread &next = *runQueue_.front();
+        runQueue_.erase(runQueue_.begin());
+        current_ = next.id;
         ++switches_;
-        mainFiber_.switchTo(*threads_[next]->fiber);
+        mainFiber_.switchTo(*next.fiber);
         // Control returns here whenever the running thread yields.
         current_ = kNoThread;
     }
@@ -82,24 +83,27 @@ Scheduler::maybePark()
 }
 
 void
-Scheduler::advance(Cycles cycles)
+Scheduler::handOver(Thread &self)
 {
-    HASTM_ASSERT(inThread());
-    Thread &self = *threads_[current_];
-    self.time += cycles;
     if (stopPending_ && current_ != stopRequester_) {
         maybePark();
         return;
     }
-    // Hand the host straight to the earliest runnable thread, if that
-    // is no longer us. run() would pick the same thread, so going
-    // direct changes no interleaving and no switch count.
-    ThreadId next = pickNext();
-    if (next == current_)
+    if (runQueue_.empty() || !runsBefore(*runQueue_.front(), self))
         return;
-    current_ = next;
+    // Hand the host straight to the queue's front, the earliest
+    // runnable thread. run() would pick the same thread, so going
+    // direct changes no interleaving and no switch count. We take the
+    // front's slot and move back past every thread that runs first.
+    Thread &next = *runQueue_.front();
+    std::size_t i = 0;
+    for (; i + 1 < runQueue_.size() && runsBefore(*runQueue_[i + 1], self);
+         ++i)
+        runQueue_[i] = runQueue_[i + 1];
+    runQueue_[i] = &self;
+    current_ = next.id;
     ++switches_;
-    self.fiber->switchTo(*threads_[next]->fiber);
+    self.fiber->switchTo(*next.fiber);
     // Resumed: whoever switched back here set current_ to us.
     maybePark();
 }
@@ -127,6 +131,7 @@ Scheduler::unblock(ThreadId tid)
     t.state = ThreadState::Runnable;
     if (inThread() && t.time < now())
         t.time = now();
+    rebuildRunQueue();
 }
 
 void
@@ -183,6 +188,7 @@ Scheduler::resumeTheWorld()
                 t->time = now();
         }
     }
+    rebuildRunQueue();
 }
 
 ThreadId

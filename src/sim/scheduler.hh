@@ -8,6 +8,15 @@
  * interleaves cores at memory-access granularity and makes every run
  * bit-reproducible. Blocking, wake-up, and stop-the-world safepoints
  * (for the garbage collector) are supported.
+ *
+ * The other runnable threads wait in a run queue sorted by (time, id),
+ * so advance(), which every simulated access and instruction batch
+ * passes through, compares the running thread against the queue's
+ * front instead of scanning every thread. A hand-over puts the running
+ * thread where the front was and moves it back to its place: O(threads)
+ * per switch, O(1) per advance that does not switch. The rare events
+ * (run()'s picks, spawn, unblock, block/exit, stop/resume) rebuild the
+ * queue anew.
  */
 
 #ifndef HASTM_SIM_SCHEDULER_HH
@@ -19,6 +28,7 @@
 #include <vector>
 
 #include "sim/fiber.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace hastm {
@@ -68,7 +78,16 @@ class Scheduler
      * to it. This is the yield point every simulated memory access and
      * instruction batch passes through.
      */
-    void advance(Cycles cycles);
+    void
+    advance(Cycles cycles)
+    {
+        HASTM_ASSERT(inThread());
+        Thread &self = *threads_[current_];
+        self.time += cycles;
+        if (stopPending_ ||
+            (!runQueue_.empty() && runsBefore(*runQueue_.front(), self)))
+            handOver(self);
+    }
 
     /** Yield without advancing time (still honours safepoints). */
     void yield();
@@ -127,8 +146,24 @@ class Scheduler
     static constexpr ThreadId kNoThread =
         std::numeric_limits<ThreadId>::max();
 
-    /** Runnable thread with minimal (time, id); kNoThread if none. */
-    ThreadId pickNext() const;
+    /** The scheduling order: true when @p a runs before @p b. */
+    static bool
+    runsBefore(const Thread &a, const Thread &b)
+    {
+        return a.time < b.time || (a.time == b.time && a.id < b.id);
+    }
+
+    /**
+     * Refill runQueue_ with every runnable thread except the current
+     * one, in (time, id) order.
+     */
+    void rebuildRunQueue();
+
+    /**
+     * advance()'s slow path: park at a pending safepoint, or switch
+     * to the queue's front if it now runs before @p self.
+     */
+    void handOver(Thread &self);
 
     /** Switch from the current thread back to run()'s main fiber. */
     void switchToScheduler();
@@ -137,6 +172,8 @@ class Scheduler
     void maybePark();
 
     std::vector<std::unique_ptr<Thread>> threads_;
+    /** Runnable threads other than current_, ascending (time, id). */
+    std::vector<Thread *> runQueue_;
     Fiber mainFiber_;
     ThreadId current_ = kNoThread;
     ThreadId stopRequester_ = kNoThread;

@@ -209,6 +209,32 @@ TEST(Core, StoreQueueBackpressure)
     }});
 }
 
+TEST(CoreDeathTest, ZeroStoreQueueSizeIsRejected)
+{
+    // The store-queue ring needs a slot for the store it pushes.
+    MachineParams p = smallParams();
+    p.timing.storeQueueSize = 0;
+    EXPECT_DEATH({ Machine m(p); }, "storeQueueSize must be at least 1");
+}
+
+TEST(Core, StoreQueueOfOneSlotSerialisesStores)
+{
+    MachineParams p = smallParams();
+    p.timing.storeQueueSize = 1;
+    p.timing.storeRetireLat = 50;
+    Machine m(p);
+    m.run({[](Core &core) {
+        core.store<std::uint64_t>(4096, 0);
+        Cycles t0 = core.cycles();
+        for (int i = 0; i < 4; ++i)
+            core.store<std::uint64_t>(4096, i);
+        // The warm-up store has retired by t0. The first store then
+        // hits, and each later one waits for its predecessor's retire.
+        EXPECT_EQ(core.cycles() - t0,
+                  3u * 50 + core.mem().params().storeHitLat);
+    }});
+}
+
 TEST(Core, DependentBranchChargesPenalty)
 {
     Machine m(smallParams());

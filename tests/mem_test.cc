@@ -7,6 +7,11 @@
 
 #include <sys/resource.h>
 
+#include <bit>
+#include <functional>
+#include <sstream>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "mem/alloc.hh"
@@ -452,6 +457,210 @@ TEST(MemSystem, LineSpanningAccessTouchesBothLines)
     env.mem.access(0, 0, 4096 + 60, 8, false);  // spans 4096 and 4160
     EXPECT_NE(env.mem.l1(0).findLine(4096), nullptr);
     EXPECT_NE(env.mem.l1(0).findLine(4160), nullptr);
+}
+
+// ------------------------------------------ inline L1-hit fast path
+
+/** Every coherence counter of @p mem, one per line. */
+std::string
+statsOf(MemSystem &mem)
+{
+    std::ostringstream os;
+    mem.stats().dump(os);
+    return os.str();
+}
+
+/**
+ * Run @p setup on two identical hierarchies, then make the same
+ * access on both: on one through tryL1Hit() (falling back to access()
+ * when it declines), on the other through access() alone. Both must
+ * end with the same result, counters, line state and LRU stamp.
+ * @return whether tryL1Hit() took the access.
+ */
+bool
+fastPathMatchesAccess(const MemParams &p,
+                      const std::function<void(MemSystem &)> &setup,
+                      CoreId core, SmtId smt, Addr addr, unsigned size,
+                      bool is_write)
+{
+    TestEnv fast(p), ref(p);
+    setup(fast.mem);
+    setup(ref.mem);
+    std::string before = statsOf(fast.mem);
+    AccessResult rf;
+    bool took = fast.mem.tryL1Hit(core, addr, size, is_write, rf);
+    if (!took) {
+        // Declining changes nothing.
+        EXPECT_EQ(statsOf(fast.mem), before);
+        EXPECT_EQ(rf.latency, 0u);
+        EXPECT_FALSE(rf.l1Hit);
+        rf = fast.mem.access(core, smt, addr, size, is_write);
+    }
+    AccessResult rr = ref.mem.access(core, smt, addr, size, is_write);
+    EXPECT_EQ(rf.latency, rr.latency);
+    EXPECT_EQ(rf.l1Hit, rr.l1Hit);
+    EXPECT_EQ(rf.l2Hit, rr.l2Hit);
+    EXPECT_EQ(statsOf(fast.mem), statsOf(ref.mem));
+    for (CoreId c = 0; c < p.numCores; ++c) {
+        for (Addr a : {addr, addr + size - 1}) {
+            const CacheLine *lf = fast.mem.l1(c).findLine(a);
+            const CacheLine *lr = ref.mem.l1(c).findLine(a);
+            EXPECT_EQ(lf == nullptr, lr == nullptr);
+            if (lf && lr) {
+                EXPECT_EQ(lf->state, lr->state);
+                EXPECT_EQ(lf->lruStamp, lr->lruStamp);
+                EXPECT_EQ(lf->markBits, lr->markBits);
+            }
+        }
+    }
+    return took;
+}
+
+TEST(L1HitPath, ReadHitChargesAsAccess)
+{
+    auto warm = [](MemSystem &m) { m.access(0, 0, 4096, 8, false); };
+    EXPECT_TRUE(fastPathMatchesAccess(TestEnv::makeParams(), warm, 0, 0,
+                                      4096 + 8, 8, false));
+}
+
+TEST(L1HitPath, ExclusiveAndModifiedWriteHitsChargeAsAccess)
+{
+    // A lone reader's fill is Exclusive; a write fill is Modified.
+    auto exclusive = [](MemSystem &m) {
+        m.access(0, 0, 4096, 8, false);
+        ASSERT_EQ(m.l1(0).findLine(4096)->state, MesiState::Exclusive);
+    };
+    auto modified = [](MemSystem &m) {
+        m.access(0, 0, 4096, 8, true);
+        ASSERT_EQ(m.l1(0).findLine(4096)->state, MesiState::Modified);
+    };
+    EXPECT_TRUE(fastPathMatchesAccess(TestEnv::makeParams(), exclusive, 0,
+                                      0, 4096, 8, true));
+    EXPECT_TRUE(fastPathMatchesAccess(TestEnv::makeParams(), modified, 0,
+                                      0, 4096, 8, true));
+}
+
+TEST(L1HitPath, SharedWriteTakesTheUpgradePath)
+{
+    auto shared = [](MemSystem &m) {
+        m.access(0, 0, 4096, 8, false);
+        m.access(1, 0, 4096, 8, false);
+        ASSERT_EQ(m.l1(0).findLine(4096)->state, MesiState::Shared);
+    };
+    EXPECT_FALSE(fastPathMatchesAccess(TestEnv::makeParams(), shared, 0,
+                                       0, 4096, 8, true));
+}
+
+TEST(L1HitPath, LineCrossingAccessTakesTheFullPath)
+{
+    auto both = [](MemSystem &m) {
+        m.access(0, 0, 4096, 8, false);
+        m.access(0, 0, 4160, 8, false);
+    };
+    EXPECT_FALSE(fastPathMatchesAccess(TestEnv::makeParams(), both, 0, 0,
+                                       4096 + 60, 8, false));
+    EXPECT_FALSE(fastPathMatchesAccess(TestEnv::makeParams(), both, 0, 0,
+                                       4096 + 60, 8, true));
+}
+
+TEST(L1HitPath, SmtWriteHitTakesTheFullPath)
+{
+    MemParams p = TestEnv::makeParams();
+    p.numSmt = 2;
+    // Thread 1 marked the line; thread 0's store must clear them.
+    auto marked = [](MemSystem &m) {
+        m.access(0, 1, 4096, 8, true);
+        m.setMarks(0, 1, 4096, 8);
+    };
+    EXPECT_FALSE(fastPathMatchesAccess(p, marked, 0, 0, 4096, 8, true));
+    // Reads still hit inline with SMT on.
+    EXPECT_TRUE(fastPathMatchesAccess(p, marked, 0, 0, 4096, 8, false));
+}
+
+TEST(L1HitPath, HitOutsideTheMruWayTakesTheFullPath)
+{
+    MemParams p = TestEnv::makeParams();
+    // Two lines of one L1 set: the second fill becomes the MRU way.
+    Addr set_stride = Addr(p.l1.numSets()) * p.l1.lineSize;
+    auto two = [set_stride](MemSystem &m) {
+        m.access(0, 0, 4096, 8, false);
+        m.access(0, 0, 4096 + set_stride, 8, false);
+    };
+    EXPECT_FALSE(fastPathMatchesAccess(p, two, 0, 0, 4096, 8, false));
+    EXPECT_TRUE(fastPathMatchesAccess(p, two, 0, 0, 4096 + set_stride, 8,
+                                      false));
+}
+
+// ---------------------------------------- directory / frame consistency
+
+/**
+ * Check the hierarchy's host-side bookkeeping against its tag state:
+ * every valid L1 line's recorded L2 frame holds its tag and that
+ * core's sharer bit, and every sharer bit has an L1 copy.
+ */
+void
+expectDirectoryConsistent(MemSystem &mem)
+{
+    const unsigned cores = mem.params().numCores;
+    for (CoreId c = 0; c < cores; ++c) {
+        mem.l1(c).forEachLine([&](CacheLine &line) {
+            CacheLine &l2line = mem.l2().lineAt(line.l2Frame);
+            ASSERT_TRUE(l2line.valid()) << "core " << c;
+            ASSERT_EQ(l2line.tag, line.tag) << "core " << c;
+            ASSERT_TRUE(l2line.sharers & (std::uint32_t(1) << c))
+                << "core " << c << " line " << line.tag;
+        });
+    }
+    mem.l2().forEachLine([&](CacheLine &l2line) {
+        for (std::uint32_t bits = l2line.sharers; bits; bits &= bits - 1) {
+            auto c = static_cast<CoreId>(std::countr_zero(bits));
+            ASSERT_LT(c, cores);
+            ASSERT_NE(mem.l1(c).findLine(l2line.tag), nullptr)
+                << "core " << c << " line " << l2line.tag;
+        }
+    });
+}
+
+TEST(MemSystem, L2FrameIndexAndSharersStayConsistent)
+{
+    for (bool directory : {true, false}) {
+        SCOPED_TRACE(directory ? "sharer directory" : "reference scan");
+        MemParams p;
+        p.numCores = 4;
+        // A small inclusive L2 (twice one L1) forces back-invalidation.
+        p.l1 = CacheParams{2 * 1024, 2, 64, 16};
+        p.l2 = CacheParams{4 * 1024, 4, 64, 16};
+        p.prefetchNextLine = true;
+        p.prefetchDegree = 2;
+        p.sharerDirectory = directory;
+        TestEnv env(p);
+        std::uint32_t x = 2024;
+        auto next = [&x] {
+            x = x * 1103515245u + 12345u;
+            return x >> 8;
+        };
+        for (int i = 0; i < 20000; ++i) {
+            auto c = static_cast<CoreId>(next() % 4);
+            Addr a = 64 * (next() % 512) + 8 * (next() % 8);
+            bool wr = next() % 3 == 0;
+            AccessResult r;
+            if (!env.mem.tryL1Hit(c, a, 8, wr, r))
+                env.mem.access(c, 0, a, 8, wr);
+            if (next() % 4 == 0)
+                env.mem.setMarks(c, 0, a, 8);
+            if (next() % 97 == 0)
+                env.mem.forceEvictMarked(c, 1 + next() % 4,
+                                         next() % 2 == 0);
+            if (i % 500 == 0)
+                expectDirectoryConsistent(env.mem);
+        }
+        expectDirectoryConsistent(env.mem);
+        // The streams reached every path the bookkeeping crosses.
+        EXPECT_GT(env.mem.stats().get("back_invalidations"), 100u);
+        EXPECT_GT(env.mem.stats().get("prefetches"), 100u);
+        EXPECT_GT(env.mem.stats().get("upgrades"), 10u);
+        EXPECT_GT(env.mem.stats().get("c0.mark_discards"), 100u);
+    }
 }
 
 } // namespace

@@ -5,7 +5,11 @@
  */
 
 #include <algorithm>
+#include <deque>
 #include <exception>
+#include <functional>
+#include <iterator>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -171,8 +175,13 @@ TEST(Scheduler, DeterministicSwitchCount)
  */
 struct Step
 {
-    enum Op { Advance, Block, Unblock, Stop, Resume } op;
-    std::uint64_t arg = 0;  //!< cycles for Advance, thread for Unblock
+    enum Op { Advance, Block, Unblock, Stop, Resume, Spawn } op;
+    /**
+     * Advance: cycles. Unblock: the thread to wake if it is blocked.
+     * Spawn: the pool script the new thread runs (it starts at the
+     * spawner's time).
+     */
+    std::uint64_t arg = 0;
 };
 
 using Script = std::vector<Step>;
@@ -183,11 +192,15 @@ using Trace = std::vector<std::pair<ThreadId, Cycles>>;
  * yields, the runnable thread with minimal (time, id) runs next, and
  * every hand-over to a thread counts one switch. A thread records
  * (id, time) when it starts and after each of its steps returns.
+ * Threads 0..initial-1 run pool scripts 0..initial-1. A run the real
+ * Scheduler would refuse (a nested stop, a resume without a stop, a
+ * deadlock) clears valid and ends the model run.
  */
 struct SchedModel
 {
     struct T
     {
+        std::size_t script = 0;
         Cycles time = 0;
         ThreadState st = ThreadState::Runnable;
         std::size_t pc = 0;
@@ -195,16 +208,19 @@ struct SchedModel
         bool inStep = false;  //!< suspended inside step pc
     };
 
-    std::vector<Script> scripts;
-    std::vector<T> ts;
+    std::vector<Script> pool;
+    std::deque<T> ts;  //!< a spawn keeps references to the others valid
     Trace trace;
     std::uint64_t switches = 0;
     bool stopPending = false;
     ThreadId requester = 0;
+    bool valid = true;
 
-    explicit SchedModel(std::vector<Script> s)
-        : scripts(std::move(s)), ts(scripts.size())
+    SchedModel(std::vector<Script> p, std::size_t initial)
+        : pool(std::move(p)), ts(initial)
     {
+        for (std::size_t i = 0; i < initial; ++i)
+            ts[i].script = i;
     }
 
     ThreadId
@@ -225,18 +241,20 @@ struct SchedModel
     resume(ThreadId id)
     {
         T &t = ts[id];
+        const Script &script = pool[t.script];
         if (!t.started) {
             t.started = true;
             trace.push_back({id, t.time});
         }
+        // A thread resumed inside a step (a yield or a block) honours
+        // a pending safepoint first. Steps that do not yield run on.
+        if (t.inStep && stopPending && id != requester) {
+            t.st = ThreadState::Safepoint;
+            return;
+        }
         for (;;) {
             if (t.inStep) {
-                // Every resume honours a pending safepoint first.
-                if (stopPending && id != requester) {
-                    t.st = ThreadState::Safepoint;
-                    return;
-                }
-                if (scripts[id][t.pc].op == Step::Stop) {
+                if (script[t.pc].op == Step::Stop) {
                     Cycles max_other = 0;
                     bool all_parked = true;
                     for (ThreadId o = 0; o < ts.size(); ++o) {
@@ -255,34 +273,46 @@ struct SchedModel
                 trace.push_back({id, t.time});
                 ++t.pc;
             }
-            if (t.pc == scripts[id].size()) {
+            if (t.pc == script.size()) {
                 t.st = ThreadState::Finished;
                 return;
             }
-            const Step &s = scripts[id][t.pc];
+            const Step &s = script[t.pc];
             t.inStep = true;
             switch (s.op) {
               case Step::Advance:
                 t.time += s.arg;
-                if (stopPending && id != requester)
-                    break;  // parks at the top of the loop
+                if (stopPending && id != requester) {
+                    t.st = ThreadState::Safepoint;
+                    return;
+                }
                 if (pick() != id)
                     return;
                 break;
               case Step::Block:
                 t.st = ThreadState::Blocked;
                 return;
-              case Step::Unblock: {
-                T &u = ts[s.arg];
-                u.st = ThreadState::Runnable;
-                u.time = std::max(u.time, t.time);
+              case Step::Unblock:
+                if (s.arg < ts.size() &&
+                    ts[s.arg].st == ThreadState::Blocked) {
+                    T &u = ts[s.arg];
+                    u.st = ThreadState::Runnable;
+                    u.time = std::max(u.time, t.time);
+                }
                 break;
-              }
               case Step::Stop:
+                if (stopPending) {
+                    valid = false;
+                    return;
+                }
                 stopPending = true;
                 requester = id;
                 break;
               case Step::Resume:
+                if (!stopPending) {
+                    valid = false;
+                    return;
+                }
                 stopPending = false;
                 for (T &u : ts) {
                     if (u.st == ThreadState::Safepoint) {
@@ -291,6 +321,11 @@ struct SchedModel
                     }
                 }
                 break;
+              case Step::Spawn:
+                ts.emplace_back();
+                ts.back().script = s.arg;
+                ts.back().time = t.time;
+                break;
             }
         }
     }
@@ -298,12 +333,104 @@ struct SchedModel
     void
     run()
     {
-        for (ThreadId next; (next = pick()) != ThreadId(-1);) {
+        for (ThreadId next; valid && (next = pick()) != ThreadId(-1);) {
             ++switches;
             resume(next);
         }
+        for (const T &t : ts)
+            valid = valid && t.st == ThreadState::Finished;
     }
 };
+
+/** Run the first @p initial pool scripts on a real Scheduler. */
+std::pair<Trace, std::uint64_t>
+runScripts(const std::vector<Script> &pool, std::size_t initial)
+{
+    Scheduler sched;
+    Trace trace;
+    std::function<void(const Script &)> body = [&](const Script &script) {
+        ThreadId me = sched.currentThread();
+        trace.push_back({me, sched.now()});
+        for (const Step &s : script) {
+            switch (s.op) {
+              case Step::Advance:
+                sched.advance(s.arg);
+                break;
+              case Step::Block:
+                sched.block();
+                break;
+              case Step::Unblock:
+                if (s.arg < sched.numThreads() &&
+                    sched.stateOf(ThreadId(s.arg)) ==
+                        ThreadState::Blocked)
+                    sched.unblock(ThreadId(s.arg));
+                break;
+              case Step::Stop:
+                sched.stopTheWorld();
+                break;
+              case Step::Resume:
+                sched.resumeTheWorld();
+                break;
+              case Step::Spawn: {
+                const Script &child = pool[s.arg];
+                sched.spawn([&body, &child] { body(child); }, sched.now());
+                break;
+              }
+            }
+            trace.push_back({me, sched.now()});
+        }
+    };
+    for (std::size_t i = 0; i < initial; ++i)
+        sched.spawn([&body, &pool, i] { body(pool[i]); });
+    sched.run();
+    return {trace, sched.switches()};
+}
+
+/**
+ * A seeded random scenario: 2-6 threads whose scripts mix advances
+ * with many equal-time ties, blocks, wake-ups, spawns from inside a
+ * thread, and at most one stop/resume pair each. Two extra pool
+ * scripts (no spawn, no stop) serve as spawn targets.
+ */
+std::pair<std::vector<Script>, std::size_t>
+randomScenario(std::uint64_t seed)
+{
+    using S = Step;
+    Rng rng(seed);
+    const std::size_t initial = 2 + rng.range(5);
+    const std::size_t pool_size = initial + 2;
+    auto advance = [&rng] {
+        static constexpr Cycles kSteps[] = {0, 1, 5, 5, 10, 10, 20};
+        return S{S::Advance, kSteps[rng.range(std::size(kSteps))]};
+    };
+    std::vector<Script> pool(pool_size);
+    for (std::size_t i = 0; i < pool_size; ++i) {
+        const bool child = i >= initial;
+        bool spawned = false, stopped = false;
+        const std::size_t len = 2 + rng.range(child ? 5 : 11);
+        Script &script = pool[i];
+        while (script.size() < len) {
+            std::uint64_t roll = rng.range(100);
+            if (roll < 55) {
+                script.push_back(advance());
+            } else if (roll < 65) {
+                script.push_back({S::Block});
+            } else if (roll < 85) {
+                script.push_back({S::Unblock, rng.range(pool_size)});
+            } else if (roll < 92 && !child && !spawned) {
+                spawned = true;
+                script.push_back({S::Spawn, initial + rng.range(2)});
+            } else if (!child && !stopped) {
+                stopped = true;
+                script.push_back({S::Stop});
+                for (std::uint64_t k = rng.range(3); k > 0; --k)
+                    script.push_back(advance());
+                script.push_back({S::Resume});
+            }
+        }
+    }
+    return {pool, initial};
+}
 
 TEST(Scheduler, InterleavingMatchesMinTimeIdReferenceModel)
 {
@@ -326,46 +453,49 @@ TEST(Scheduler, InterleavingMatchesMinTimeIdReferenceModel)
          {S::Advance, 5}, {S::Advance, 5}, {S::Advance, 5}},
     };
 
-    Scheduler sched;
-    Trace trace;
-    for (const Script &script : scripts) {
-        sched.spawn([&sched, &trace, &script] {
-            ThreadId me = sched.currentThread();
-            trace.push_back({me, sched.now()});
-            for (const Step &s : script) {
-                switch (s.op) {
-                  case Step::Advance:
-                    sched.advance(s.arg);
-                    break;
-                  case Step::Block:
-                    sched.block();
-                    break;
-                  case Step::Unblock:
-                    sched.unblock(static_cast<ThreadId>(s.arg));
-                    break;
-                  case Step::Stop:
-                    sched.stopTheWorld();
-                    break;
-                  case Step::Resume:
-                    sched.resumeTheWorld();
-                    break;
-                }
-                trace.push_back({me, sched.now()});
-            }
-        });
-    }
-    sched.run();
-
-    SchedModel model(scripts);
+    auto [trace, switches] = runScripts(scripts, scripts.size());
+    SchedModel model(scripts, scripts.size());
     model.run();
+    ASSERT_TRUE(model.valid);
     std::size_t steps = scripts.size();
     for (const Script &s : scripts)
         steps += s.size();
     ASSERT_EQ(model.trace.size(), steps);
     EXPECT_EQ(trace, model.trace);
-    EXPECT_EQ(sched.switches(), model.switches);
+    EXPECT_EQ(switches, model.switches);
     // The scripts really interleave: far more switches than threads.
     EXPECT_GT(model.switches, 20u);
+
+    // Seeded random scenarios. Those the real Scheduler would refuse
+    // are skipped; every run-queue rebuild path must still be crossed
+    // by the ones that run. A run that finishes woke every block.
+    unsigned ran = 0, with_block = 0, with_stop = 0, with_spawn = 0;
+    for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+        auto [pool, initial] = randomScenario(seed);
+        SchedModel m(pool, initial);
+        m.run();
+        if (!m.valid)
+            continue;
+        SCOPED_TRACE("scenario seed " + std::to_string(seed));
+        auto [t, sw] = runScripts(pool, initial);
+        EXPECT_EQ(t, m.trace);
+        EXPECT_EQ(sw, m.switches);
+        ++ran;
+        bool block = false, stop = false;
+        for (std::size_t i = 0; i < m.ts.size(); ++i) {
+            for (const Step &s : pool[m.ts[i].script]) {
+                block |= s.op == Step::Block;
+                stop |= s.op == Step::Stop;
+            }
+        }
+        with_block += block;
+        with_stop += stop;
+        with_spawn += m.ts.size() > initial;
+    }
+    EXPECT_GE(ran, 100u);
+    EXPECT_GE(with_block, 20u);
+    EXPECT_GE(with_stop, 20u);
+    EXPECT_GE(with_spawn, 20u);
 }
 
 TEST(Scheduler, BlockAndUnblock)
