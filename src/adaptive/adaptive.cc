@@ -13,7 +13,7 @@ AdaptiveThread::AdaptiveThread(Core &core, StmGlobals &globals,
       hastm_(core, globals, HastmVariant::Normal, num_threads),
       cautious_(core, globals, HastmVariant::Cautious, num_threads),
       stm_(core, globals),
-      arbiter_(globals.cfg().adaptive)
+      arbiter_(AdaptiveParams{})
 {
 }
 

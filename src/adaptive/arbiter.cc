@@ -6,6 +6,14 @@ namespace hastm {
 
 namespace {
 
+constexpr double kEwmaAlpha = 0.5;      //!< weight of the newest window
+constexpr unsigned kProbeBackoff = 8;   //!< max epoch multiplier
+constexpr double kDemoteAbortRate = 0.5;     //!< abort-rate trigger
+constexpr double kDemoteCapacityFrac = 0.25; //!< HTM capacity trigger
+constexpr double kDemoteSpuriousFrac = 0.25; //!< HASTM spurious trigger
+constexpr double kMarkHitFloor = 0.02;  //!< mark-filter hit floor
+constexpr double kSerialRetries = 8.0;  //!< aborts per commit (stm)
+
 void
 accumulate(TxSample &into, const TxSample &s)
 {
@@ -49,8 +57,8 @@ Arbiter::updateScore(SiteState &st, AdaptiveMode m, const TxSample &s)
     std::uint64_t commits = s.commits ? s.commits : 1;
     double cpc = double(s.cycles) / double(commits);
     double &score = st.score[std::size_t(m)];
-    score = score == 0.0 ? cpc : p_.ewmaAlpha * cpc +
-                                 (1.0 - p_.ewmaAlpha) * score;
+    score = score == 0.0 ? cpc
+                         : kEwmaAlpha * cpc + (1.0 - kEwmaAlpha) * score;
 }
 
 bool
@@ -62,24 +70,24 @@ Arbiter::badWindow(AdaptiveMode m, const TxSample &s) const
     double abort_rate = double(s.aborts) / attempts;
     switch (m) {
       case AdaptiveMode::Hytm:
-        return abort_rate > p_.demoteAbortRate ||
-               double(s.capacityAborts) / attempts > p_.demoteCapacityFrac;
+        return abort_rate > kDemoteAbortRate ||
+               double(s.capacityAborts) / attempts > kDemoteCapacityFrac;
       case AdaptiveMode::Hastm:
-        return abort_rate > p_.demoteAbortRate ||
-               double(s.spuriousAborts) / attempts > p_.demoteSpuriousFrac;
+        return abort_rate > kDemoteAbortRate ||
+               double(s.spuriousAborts) / attempts > kDemoteSpuriousFrac;
       case AdaptiveMode::HastmCautious: {
-        if (abort_rate > p_.demoteAbortRate)
+        if (abort_rate > kDemoteAbortRate)
             return true;
         // Mark-filter survival: when almost no read barrier hits the
         // filter, mark maintenance is pure overhead and the plain STM
         // is the cheaper rung. Only meaningful with enough reads.
         std::uint64_t reads = s.fastHits + s.slowReads;
         return reads >= 64 &&
-               double(s.fastHits) / double(reads) < p_.markHitFloor;
+               double(s.fastHits) / double(reads) < kMarkHitFloor;
       }
       case AdaptiveMode::Stm:
         return double(s.aborts) / double(s.commits ? s.commits : 1) >
-               p_.serialRetries;
+               kSerialRetries;
       case AdaptiveMode::Serial:
       default:
         return false;
@@ -145,11 +153,9 @@ Arbiter::finish(std::uint32_t site, const TxSample &s)
                 st.score[std::size_t(st.probeMode)] = alt;
             } else {
                 // The incumbent defended its rung: probe rarer (up to
-                // probeBackoff x the base epoch) so a stable phase is
+                // kProbeBackoff x the base epoch) so a stable phase is
                 // not taxed by exploration it keeps rejecting.
-                st.epochMul = std::min(st.epochMul * 2,
-                                       p_.probeBackoff ? p_.probeBackoff
-                                                       : 1u);
+                st.epochMul = std::min(st.epochMul * 2, kProbeBackoff);
             }
             st.probing = false;
             st.probe = TxSample{};

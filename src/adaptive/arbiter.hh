@@ -22,12 +22,11 @@
  * back via bounded-regret probing: every `probeEpoch` transactions
  * the site runs `probeLen` transactions on a rival rung and switches
  * only if the rival's EWMA score beats the incumbent's by
- * `switchMargin`; each rejected probe doubles the epoch (up to
- * `probeBackoff`x) so stable phases are not taxed by exploration,
- * and any switch resets the backoff. The Serial rung is its own
- * ladder end: it buys `serialBudget` guaranteed commits, then
- * retreats to stm so one pathological phase cannot pin a site to the
- * global token forever.
+ * `switchMargin`; each rejected probe doubles the epoch (up to 8x)
+ * so stable phases are not taxed by exploration, and any switch
+ * resets the backoff. The Serial rung is its own ladder end: it buys
+ * `serialBudget` guaranteed commits, then retreats to stm so one
+ * pathological phase cannot pin a site to the global token forever.
  */
 
 #ifndef HASTM_ADAPTIVE_ARBITER_HH
@@ -42,6 +41,26 @@
 #include "stm/tm_iface.hh"
 
 namespace hastm {
+
+/**
+ * Arbitration knobs for TmScheme::Adaptive. Windows and epochs are
+ * counted in transactions dispatched at one txn site by one thread,
+ * so decisions are deterministic in the simulated execution alone.
+ * The demotion thresholds and the EWMA weight are constants in
+ * arbiter.cc.
+ */
+struct AdaptiveParams
+{
+    unsigned window = 8;         //!< txns per decision window at a site
+    unsigned probeEpoch = 25;    //!< txns between re-probes of rivals
+    unsigned probeLen = 3;       //!< txns per bounded-regret probe
+    unsigned probeAbortBudget = 8; //!< aborts ending a probe early
+    double switchMargin = 0.2;   //!< a probe must win by this fraction
+    double shiftFactor = 2.0;    //!< window/EWMA ratio flagging a shift
+    unsigned demoteHysteresis = 2; //!< consecutive bad windows to demote
+    unsigned stormAborts = 8;    //!< in-window aborts forcing demotion
+    unsigned serialBudget = 4;   //!< committed serial txns before retreat
+};
 
 /**
  * Deltas of one dispatched transaction, taken from the executing

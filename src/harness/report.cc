@@ -141,33 +141,12 @@ toJson(const StmConfig &c)
         .set("validateEvery", c.validateEvery)
         .set("cmPolicy", cmPolicyName(c.cm.policy))
         .set("clearMarksAtEnd", c.clearMarksAtEnd)
-        .set("filterReads", c.filterReads)
         .set("filterWrites", c.filterWrites)
-        .set("policyWindow", c.policyWindow)
-        .set("aggressiveWatermark", c.aggressiveWatermark)
         .set("watchdogConsecAborts", c.watchdogConsecAborts)
         .set("watchdogRetriesPerCommit", c.watchdogRetriesPerCommit)
         .set("recShardLog2Records", c.recShardLog2Records)
         .set("recHashMix", c.recHashMix)
         .set("recShardPerArena", c.recShardPerArena);
-    Json adaptive = Json::object();
-    adaptive.set("window", c.adaptive.window)
-        .set("probeEpoch", c.adaptive.probeEpoch)
-        .set("probeLen", c.adaptive.probeLen)
-        .set("probeAbortBudget", c.adaptive.probeAbortBudget)
-        .set("probeBackoff", c.adaptive.probeBackoff)
-        .set("ewmaAlpha", c.adaptive.ewmaAlpha)
-        .set("switchMargin", c.adaptive.switchMargin)
-        .set("shiftFactor", c.adaptive.shiftFactor)
-        .set("demoteHysteresis", c.adaptive.demoteHysteresis)
-        .set("stormAborts", c.adaptive.stormAborts)
-        .set("demoteAbortRate", c.adaptive.demoteAbortRate)
-        .set("demoteCapacityFrac", c.adaptive.demoteCapacityFrac)
-        .set("demoteSpuriousFrac", c.adaptive.demoteSpuriousFrac)
-        .set("markHitFloor", c.adaptive.markHitFloor)
-        .set("serialRetries", c.adaptive.serialRetries)
-        .set("serialBudget", c.adaptive.serialBudget);
-    j.set("adaptive", std::move(adaptive));
     if (!c.tracePath.empty())
         j.set("tracePath", c.tracePath);
     return j;

@@ -12,7 +12,7 @@
  * Document schema (one per bench binary):
  *   {
  *     "bench": "<name>",
- *     "schemaVersion": 12,
+ *     "schemaVersion": 14,
  *     "runs": [ { "label": ...,
  *                 "config": { ...ExperimentConfig|MicroConfig... },
  *                 "result": { "makespan", "instructions", "loads",
@@ -47,7 +47,7 @@
  * v4 adds the adaptive runtime: TmStats gains the "adaptive" block
  * (decision counters "switches" / "probes" and the per-rung
  * "dispatch" tally — all zero for fixed schemes), StmConfig gains
- * the "adaptive" arbitration knobs, and results of
+ * the "adaptive" arbitration knobs (dropped in v14), and results of
  * TmScheme::Adaptive runs carry a top-level "adaptive" object with
  * per-site decision summaries ("sites": dispatch counts and
  * fractions per rung, switch/probe totals, final steady rungs;
@@ -136,6 +136,17 @@
  * Bloom width and backoff base/cap, the v8 gate stall bound); the
  * native STM uses their old defaults as constants. Every other field
  * serializes as in v12.
+ *
+ * v14: StmConfig drops the knobs no run ever set, each now the
+ * constant its default gave: "filterReads" (the HASTM-NoReuse scheme
+ * is the read-filter ablation), "policyWindow" and
+ * "aggressiveWatermark" (HASTM's mode policy), and the whole v4
+ * "adaptive" block ("window", "probeEpoch", "probeLen",
+ * "probeAbortBudget", "probeBackoff", "ewmaAlpha", "switchMargin",
+ * "shiftFactor", "demoteHysteresis", "stormAborts",
+ * "demoteAbortRate", "demoteCapacityFrac", "demoteSpuriousFrac",
+ * "markHitFloor", "serialRetries", "serialBudget"). Every other field
+ * serializes as in v13.
  */
 
 #ifndef HASTM_HARNESS_REPORT_HH
@@ -151,7 +162,7 @@
 namespace hastm {
 
 /** The report document format version (see the header comment). */
-constexpr unsigned kReportSchemaVersion = 13;
+constexpr unsigned kReportSchemaVersion = 14;
 
 Json toJson(const Histogram &h);
 Json toJson(const LatencyHistogram &h);

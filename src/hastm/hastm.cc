@@ -23,15 +23,9 @@ strategyFor(HastmVariant v)
 HastmThread::HastmThread(Core &core, StmGlobals &globals,
                          HastmVariant variant, unsigned num_threads)
     : StmThread(core, globals), variant_(variant),
-      policy_(strategyFor(variant), num_threads,
-              globals.cfg().policyWindow, globals.cfg().aggressiveWatermark)
+      policy_(strategyFor(variant), num_threads, kPolicyWindow,
+              kAggressiveWatermark)
 {
-}
-
-bool
-HastmThread::filterReads() const
-{
-    return variant_ != HastmVariant::NoReuse && g_.cfg().filterReads;
 }
 
 bool
@@ -82,7 +76,7 @@ HastmThread::readObjectPath(Addr data, Addr rec)
     {
         Core::PhaseScope scope(core_, Phase::RdBarrier);
         Core::MetaScope meta(core_);
-        if (filterReads()) {
+        if (variant_ != HastmVariant::NoReuse) {
             // Fig 5 fast path: two instructions, no TLS access — the
             // record address comes straight from the object pointer.
             bool marked = false;
@@ -125,7 +119,7 @@ HastmThread::readCacheLinePath(Addr data, Addr rec)
     // dirty read commit under a clean counter. The instruction count
     // is identical.
     Core::PhaseScope scope(core_, Phase::RdBarrier);
-    if (filterReads()) {
+    if (variant_ != HastmVariant::NoReuse) {
         bool marked = false;
         std::uint64_t value =
             core_.loadTestMarkLine<std::uint64_t>(data, marked);

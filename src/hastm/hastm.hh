@@ -71,7 +71,6 @@ class HastmThread : public StmThread
     /** Slow-path record check shared by both paths. */
     std::uint64_t checkRecord(Addr rec, std::uint64_t recval);
 
-    bool filterReads() const;
     bool filterWrites() const;
 
     /** The write-filtering extension's mark-bit filter id. */

@@ -32,6 +32,12 @@ enum class ModeStrategy : std::uint8_t {
     Never,     //!< cautious only
 };
 
+/** Events in HASTM's sliding window of recent outcomes. */
+constexpr unsigned kPolicyWindow = 32;
+
+/** Bad-event ratio below which multi-threaded HASTM goes aggressive. */
+constexpr double kAggressiveWatermark = 0.10;
+
 /** Per-thread mode policy. */
 class ModePolicy
 {

@@ -294,8 +294,7 @@ MemSystem::accessLine(CoreId core, SmtId smt, Addr addr, unsigned len,
 
     if (params_.prefetchNextLine) {
         for (unsigned d = 1; d <= params_.prefetchDegree; ++d) {
-            prefetch(core, la + Addr(d) * params_.l1.lineSize,
-                     is_write && params_.prefetchExclusiveOnWrite);
+            prefetch(core, la + Addr(d) * params_.l1.lineSize, is_write);
         }
     }
 

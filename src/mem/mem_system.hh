@@ -87,14 +87,14 @@ struct MemParams
     Cycles storeHitLat = 1;        //!< store queue absorbs hit stores
     Cycles upgradeLat = 18;        //!< S->M ownership upgrade
     Cycles dirtyForwardLat = 30;   //!< cache-to-cache M forward
-    bool prefetchNextLine = true;  //!< next-line prefetch on L1 miss
     /**
-     * Store-stream prefetches fetch the next line with ownership
-     * (read-for-exclusive), invalidating remote copies — one of the
-     * §7.4 mechanisms by which "prefetches and speculative accesses
-     * from one core kick out marked cache lines from another core".
+     * Next-line prefetch on L1 miss. Store-miss prefetches fetch with
+     * ownership (read-for-exclusive), invalidating remote copies —
+     * one of the §7.4 mechanisms by which "prefetches and speculative
+     * accesses from one core kick out marked cache lines from another
+     * core".
      */
-    bool prefetchExclusiveOnWrite = true;
+    bool prefetchNextLine = true;
     unsigned prefetchDegree = 1;   //!< next lines fetched per miss
     /**
      * Host-side fast path: snoops, upgrades, and back-invalidations

@@ -27,6 +27,9 @@ nativeFaultPointName(NativeFaultPoint p)
 
 namespace {
 
+constexpr unsigned kYieldMax = 4;   //!< Yield draws 1..kYieldMax yields
+constexpr unsigned kSpinMax = 512;  //!< SpinDelay draws 1..kSpinMax spins
+
 /**
  * Where each kind may fire. Delay kinds are safe everywhere — they
  * only stretch the window. GateStall is confined to gate transitions
@@ -194,13 +197,13 @@ NativeFaultInjector::perform(NativeFaultKind kind, Rng &rng) const
 {
     switch (kind) {
       case NativeFaultKind::Yield: {
-        std::uint64_t n = 1 + rng.range(params_.yieldMax);
+        std::uint64_t n = 1 + rng.range(kYieldMax);
         for (std::uint64_t i = 0; i < n; ++i)
             std::this_thread::yield();
         break;
       }
       case NativeFaultKind::SpinDelay: {
-        std::uint64_t n = 1 + rng.range(params_.spinMax);
+        std::uint64_t n = 1 + rng.range(kSpinMax);
         volatile std::uint64_t sink = 0;
         for (std::uint64_t i = 0; i < n; ++i)
             sink = i;

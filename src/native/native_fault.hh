@@ -97,10 +97,6 @@ struct NativeFaultParams
      *  weights[Starve] is ignored: starvation is windowed via
      *  starveWindow, not drawn from the schedule. */
     std::array<unsigned, kNumNativeFaultKinds> weights{1, 1, 0, 1, 1, 1};
-    /** Max yields per Yield perturbation (draw is 1..yieldMax). */
-    unsigned yieldMax = 4;
-    /** Max iterations per SpinDelay burst (draw is 1..spinMax). */
-    unsigned spinMax = 512;
     /** Microseconds slept per GateStall (keep well under the serial
      *  gate's 20 s park bound, NativeGate::setStallLimitMs). */
     unsigned gateStallUs = 200;

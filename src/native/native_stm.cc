@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace hastm {
 
@@ -21,15 +20,6 @@ hostBackoff(unsigned attempt)
     }
     unsigned shift = attempt < 14 ? attempt : 14;
     std::this_thread::sleep_for(std::chrono::microseconds(1u << (shift - 4)));
-}
-
-/** Host nanoseconds since an arbitrary epoch (trace timestamps). */
-std::uint64_t
-hostNow()
-{
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
 }
 
 /**
@@ -142,8 +132,6 @@ NativeRuntime::NativeRuntime(const StmConfig &cfg, std::size_t heap_bytes,
                                             : txrec::kDefaultLog2Records,
                cfg.recHashMix)
 {
-    if (!cfg_.tracePath.empty())
-        trace_ = std::make_unique<TraceSink>(cfg_.tracePath);
     if (fault.enabled)
         fault_ = std::make_unique<NativeFaultInjector>(fault, num_threads);
 }
@@ -175,15 +163,6 @@ NativeRuntime::minActiveEpoch() const
             min_epoch = e;
     }
     return min_epoch;
-}
-
-void
-NativeRuntime::traceInstant(unsigned tid, const char *name)
-{
-    if (!trace_)
-        return;
-    std::lock_guard<std::mutex> lk(traceMu_);
-    trace_->instant(tid, Cycles(hostNow()), name);
 }
 
 void
@@ -240,13 +219,10 @@ NativeThread::faultHook(NativeFaultPoint point)
     if (fired.starved) {
         ++stats_.nativeFaultsInjected[
             std::size_t(NativeFaultKind::Starve)];
-        rt_.traceInstant(id_,
-                         nativeFaultInstantName(NativeFaultKind::Starve));
     }
     if (!fired.fired)
         return;
     ++stats_.nativeFaultsInjected[std::size_t(fired.kind)];
-    rt_.traceInstant(id_, nativeFaultInstantName(fired.kind));
     switch (fired.kind) {
       case NativeFaultKind::CmKill:
         // The same exception a lost contention bout raises; the
@@ -795,17 +771,15 @@ NativeThread::extendSnapshot()
     std::uint64_t now = rt_.clockNow();
     try {
         // The hook sits inside the try so a forced ExtensionFail is
-        // counted and traced exactly like a genuinely stale read.
+        // counted exactly like a genuinely stale read.
         faultHook(NativeFaultPoint::ExtendRevalidate);
         validate();
     } catch (const TxConflictAbort &) {
         ++stats_.extensionFailures;
-        rt_.traceInstant(id_, "snapshotExtendFail");
         throw;
     }
     snapshot_ = now;
     ++stats_.extensions;
-    rt_.traceInstant(id_, "snapshotExtend");
 }
 
 // ---- undo log + Bloom dedup ----

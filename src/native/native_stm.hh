@@ -101,7 +101,6 @@
 namespace hastm {
 
 class NativeThread;
-class TraceSink;
 
 /** Snapshot-clock version encoding: version 2t+1 <=> commit time t. */
 namespace nativeclock {
@@ -466,16 +465,6 @@ class NativeRuntime
      */
     std::uint64_t minActiveEpoch() const;
 
-    /** Event sink, or null when StmConfig::tracePath is empty. */
-    TraceSink *trace() { return trace_.get(); }
-
-    /**
-     * Emit an instantaneous trace event on thread @p tid (no-op
-     * without a sink). Host-side, mutex-guarded: the native backend's
-     * threads are real, unlike the simulator's fibers.
-     */
-    void traceInstant(unsigned tid, const char *name);
-
   private:
     [[noreturn]] static void clockExhausted();
 
@@ -513,9 +502,6 @@ class NativeRuntime
      *  before concurrent bodies run, so scans never take it. */
     std::mutex epochMu_;
     std::deque<EpochSlot> epochSlots_;  //!< stable addresses (deque)
-
-    std::unique_ptr<TraceSink> trace_;
-    std::mutex traceMu_;
 
     /** Null unless the session enabled fault injection. */
     std::unique_ptr<NativeFaultInjector> fault_;
@@ -675,11 +661,11 @@ class alignas(64) NativeThread : public TmExec
 
     /**
      * Fault-injection hook (no-op when the session runs without an
-     * injector): evaluates the injector at @p point, counts and
-     * traces whatever fired, and converts the abort-inducing kinds
-     * into the protocol's own abort exceptions (CmKill throws a
-     * TxConflictAbort{CmKill}; ExtensionFail throws the same
-     * Validation abort a genuinely stale extension would).
+     * injector): evaluates the injector at @p point, counts whatever
+     * fired, and converts the abort-inducing kinds into the protocol's
+     * own abort exceptions (CmKill throws a TxConflictAbort{CmKill};
+     * ExtensionFail throws the same Validation abort a genuinely stale
+     * extension would).
      */
     void faultHook(NativeFaultPoint point);
 

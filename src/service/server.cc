@@ -6,7 +6,6 @@
 
 #include "harness/report.hh"
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace hastm {
 
@@ -49,6 +48,9 @@ struct SegmentTm
     std::uint64_t serialDispatch = 0;
 };
 
+/** Queue-depth samples per run (the series holds up to two more). */
+constexpr unsigned kDepthSamples = 128;
+
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
@@ -69,10 +71,8 @@ class ServiceRun
           wBusy_(workers_.size(), 0),
           wDone_(workers_.size(), 0),
           samplePeriod_(std::max<std::uint64_t>(
-              1, cfg.durationNs / std::max(1u, cfg.depthSamples)))
+              1, cfg.durationNs / kDepthSamples))
     {
-        if (!cfg_.traceEventsPath.empty())
-            sink_ = std::make_unique<TraceSink>(cfg_.traceEventsPath);
     }
 
     ServiceResult run();
@@ -121,8 +121,6 @@ class ServiceRun
     std::uint64_t segStart_ = 0;
     bool segBurst_ = false;
     std::uint64_t segOffered_ = 0, segCompleted_ = 0, segShed_ = 0;
-
-    std::unique_ptr<TraceSink> sink_;
 };
 
 std::uint64_t
@@ -154,13 +152,6 @@ ServiceRun::closeWindow()
         ++r_.sloViolationWindows;
     if (r_.windows.size() < 4096)
         r_.windows.push_back(w);
-    if (sink_) {
-        sink_->instant(1, windowStart_ + cfg_.windowNs, "window",
-                       Json::object()
-                           .set("p99Ns", w.p99Ns)
-                           .set("completed", w.completed)
-                           .set("shed", w.shed));
-    }
     winHist_.reset();
     winShed_ = 0;
     windowStart_ += cfg_.windowNs;
@@ -177,10 +168,6 @@ ServiceRun::closeSegment(std::uint64_t end_ns)
     s.completed = segCompleted_;
     s.shed = segShed_;
     r_.segments.push_back(s);
-    if (sink_) {
-        sink_->instant(1, end_ns, "phase",
-                       Json::object().set("burst", segBurst_));
-    }
     segStart_ = end_ns;
     segBurst_ = !segBurst_;
     segOffered_ = segCompleted_ = segShed_ = 0;
@@ -202,8 +189,7 @@ ServiceRun::advanceTo(std::uint64_t t)
         if (next > t)
             return;
         if (next == sAt) {
-            if (r_.depthSeries.size() <
-                std::size_t(cfg_.depthSamples) + 2) {
+            if (r_.depthSeries.size() < std::size_t(kDepthSamples) + 2) {
                 r_.depthSeries.emplace_back(
                     sAt, unsigned(queue_.size()));
             }
@@ -256,10 +242,6 @@ ServiceRun::dispatchFree(std::uint64_t now)
         tm.aborts += o.aborts;
         tm.irrevocableEntries += o.irrevocable;
         tm.serialDispatch += o.serialDispatch;
-        if (o.irrevocable > 0 && sink_) {
-            sink_->instant(0, now, "serial-escalation",
-                           Json::object().set("key", req.key));
-        }
         workers_[free].busy = true;
         workers_[free].cls = cls;
         completions_.push(
@@ -345,15 +327,11 @@ ServiceRun::run()
                 ++r_.droppedFull;
                 ++winShed_;
                 ++segShed_;
-                if (sink_)
-                    sink_->instant(0, tA, "drop");
                 break;
               case AdmissionDecision::Shed:
                 ++r_.shedPolicy;
                 ++winShed_;
                 ++segShed_;
-                if (sink_)
-                    sink_->instant(0, tA, "shed");
                 break;
             }
             pull();
@@ -395,8 +373,6 @@ ServiceRun::run()
     r_.finalSize = exec_.size();
     r_.checksum = exec_.checksum();
     r_.invariantOk = exec_.invariant();
-    if (sink_)
-        sink_->flush();
     return std::move(r_);
 }
 

@@ -63,7 +63,6 @@ struct ServiceConfig
     AdmissionConfig admission;
     std::uint64_t durationNs = 20'000'000;  //!< arrivals stop here
     std::uint64_t windowNs = 1'000'000;     //!< p99 control window
-    unsigned depthSamples = 128;            //!< queue-depth series length
     /** Cap on injected sim rivals per request (collision-scaled). */
     unsigned rivalCap = 3;
     // ---- deterministic service-time model ----
@@ -71,8 +70,6 @@ struct ServiceConfig
     std::uint64_t perBarrierNs = 12;
     std::uint64_t perAbortNs = 1500;
     std::uint64_t perIrrevocNs = 4000;
-    /** Chrome trace instants (sheds, windows, phases); "" = off. */
-    std::string traceEventsPath;
     /** Pre-parsed requests when arrival.kind == Trace. */
     std::vector<ServiceRequest> trace;
 };

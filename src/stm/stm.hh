@@ -41,7 +41,6 @@ struct StmConfig
     unsigned validateEvery = 64;
     CmParams cm;
     bool clearMarksAtEnd = true;     //!< §7: no inter-atomic reuse
-    bool filterReads = true;         //!< false => HASTM-NoReuse ablation
     /**
      * Write-filtering extension (§5: "an implementation could also
      * filter STM write barrier and undo logging operations using
@@ -51,8 +50,6 @@ struct StmConfig
      * per-word GC metadata).
      */
     bool filterWrites = false;
-    unsigned policyWindow = 32;      //!< mode-policy sliding window
-    double aggressiveWatermark = 0.10;
     /**
      * Starvation watchdog (graceful degradation): escalate into
      * serial-irrevocable mode after this many consecutive aborts of
@@ -90,11 +87,9 @@ struct StmConfig
      * here in Chrome trace_event JSON on teardown (load the file in
      * about://tracing or ui.perfetto.dev). Host-side only: tracing
      * charges no simulated cycles and does not perturb results.
+     * Simulator only; the native STM emits no trace.
      */
     std::string tracePath;
-
-    /** Arbitration knobs, used only under TmScheme::Adaptive. */
-    AdaptiveParams adaptive;
 };
 
 class TraceSink;

@@ -65,20 +65,6 @@ nativeFaultKindName(NativeFaultKind k)
 }
 
 const char *
-nativeFaultInstantName(NativeFaultKind k)
-{
-    switch (k) {
-      case NativeFaultKind::Yield:         return "fault:yield";
-      case NativeFaultKind::SpinDelay:     return "fault:spinDelay";
-      case NativeFaultKind::Starve:        return "fault:starve";
-      case NativeFaultKind::ExtensionFail: return "fault:extensionFail";
-      case NativeFaultKind::CmKill:        return "fault:cmKill";
-      case NativeFaultKind::GateStall:     return "fault:gateStall";
-    }
-    return "fault:?";
-}
-
-const char *
 granularityName(Granularity g)
 {
     switch (g) {

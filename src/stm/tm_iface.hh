@@ -76,32 +76,6 @@ constexpr unsigned kNumAdaptiveModes = 5;
 
 const char *adaptiveModeName(AdaptiveMode m);
 
-/**
- * Arbitration knobs for TmScheme::Adaptive (adaptive/arbiter.hh).
- * Windows and epochs are counted in transactions dispatched at one
- * txn site by one thread, so decisions are deterministic in the
- * simulated execution alone.
- */
-struct AdaptiveParams
-{
-    unsigned window = 8;         //!< txns per decision window at a site
-    unsigned probeEpoch = 25;    //!< txns between re-probes of rivals
-    unsigned probeLen = 3;       //!< txns per bounded-regret probe
-    unsigned probeAbortBudget = 8; //!< aborts ending a probe early
-    unsigned probeBackoff = 8;   //!< max epoch multiplier (failed probes)
-    double ewmaAlpha = 0.5;      //!< weight of the newest window
-    double switchMargin = 0.2;   //!< a probe must win by this fraction
-    double shiftFactor = 2.0;    //!< window/EWMA ratio flagging a shift
-    unsigned demoteHysteresis = 2; //!< consecutive bad windows to demote
-    unsigned stormAborts = 8;    //!< in-window aborts forcing demotion
-    double demoteAbortRate = 0.5;  //!< abort-rate demotion trigger
-    double demoteCapacityFrac = 0.25; //!< HTM capacity-abort trigger
-    double demoteSpuriousFrac = 0.25; //!< HASTM spurious-abort trigger
-    double markHitFloor = 0.02;  //!< mark-filter hit floor (cautious→stm)
-    double serialRetries = 8.0;  //!< aborts-per-commit serial trigger
-    unsigned serialBudget = 4;   //!< committed serial txns before retreat
-};
-
 /** Object layout constants. */
 constexpr unsigned kObjHeaderBytes = 16;  //!< [txrec 8][gc meta 8]
 constexpr unsigned kTxRecOff = 0;
@@ -192,9 +166,6 @@ enum class NativeFaultKind : std::uint8_t {
 constexpr unsigned kNumNativeFaultKinds = 6;
 
 const char *nativeFaultKindName(NativeFaultKind k);
-
-/** Trace-instant name for an injected native fault ("fault:<kind>"). */
-const char *nativeFaultInstantName(NativeFaultKind k);
 
 /** Thrown by retry(): roll back and wait for the read set to change. */
 struct TxRetryRequest {};

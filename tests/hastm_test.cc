@@ -63,6 +63,29 @@ TEST(Hastm, ReadBarrierFastPathFiltersRepeatedReads)
     }
 }
 
+TEST(Hastm, NoReuseSchemeTakesNoReadFastPath)
+{
+    // The scheme alone selects the Fig 17 unfiltered-read ablation:
+    // the same read-reuse loop hits the filter under Hastm and never
+    // under HastmNoReuse.
+    for (TmScheme scheme : {TmScheme::Hastm, TmScheme::HastmNoReuse}) {
+        Env env(scheme, 1);
+        env.machine->run({[&](Core &core) {
+            TmThread &t = env.session->threadFor(core);
+            Addr obj = t.txAlloc(16);
+            t.atomic([&] {
+                for (int i = 0; i < 10; ++i)
+                    t.readField(obj, 0);
+            });
+            if (scheme == TmScheme::Hastm)
+                EXPECT_GT(t.stats().rdFastHits, 0u);
+            else
+                EXPECT_EQ(t.stats().rdFastHits, 0u);
+            EXPECT_GE(t.stats().rdBarriers, 10u);
+        }});
+    }
+}
+
 TEST(Hastm, ValidationFastWhenUndisturbed)
 {
     Env env(TmScheme::Hastm, 1);

@@ -451,6 +451,27 @@ TEST(MemSystem, PrefetchPullsNextLine)
     EXPECT_GE(env.mem.stats().get("prefetches"), 1u);
 }
 
+TEST(MemSystem, StoreMissPrefetchTakesOwnership)
+{
+    // §7.4: a store miss on L prefetches L+1 read-for-exclusive, so
+    // the prefetch alone invalidates remote Shared copies of L+1.
+    MemParams p = TestEnv::makeParams();
+    p.prefetchNextLine = true;
+    TestEnv env(p);
+    const Addr next = 4096 + 64;
+    env.mem.access(1, 0, next, 8, false);
+    env.mem.access(2, 0, next, 8, false);
+    ASSERT_NE(env.mem.l1(1).findLine(next), nullptr);
+    ASSERT_EQ(env.mem.l1(1).findLine(next)->state, MesiState::Shared);
+    env.mem.access(0, 0, 4096, 8, true);
+    const CacheLine *own = env.mem.l1(0).findLine(next);
+    ASSERT_NE(own, nullptr);
+    EXPECT_TRUE(own->prefetched);
+    EXPECT_EQ(own->state, MesiState::Exclusive);
+    EXPECT_EQ(env.mem.l1(1).findLine(next), nullptr);
+    EXPECT_EQ(env.mem.l1(2).findLine(next), nullptr);
+}
+
 TEST(MemSystem, LineSpanningAccessTouchesBothLines)
 {
     TestEnv env;

@@ -21,9 +21,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <thread>
 
 #include <sys/resource.h>
@@ -844,38 +841,6 @@ TEST(NativeBloom, TinyFilterFallsBackToLogScanNeverFalseNegative)
         EXPECT_GT(t.stats().bloomFalsePositives, 0u);
         EXPECT_GE(t.stats().undoElided, kWords);
     }});
-}
-
-// ------------------------------------------------ trace instants
-
-TEST(NativeTrace, ExtensionEmitsInstantEvents)
-{
-    std::string path =
-        ::testing::TempDir() + "native_snapshot_trace.json";
-    std::remove(path.c_str());
-    {
-        NativeSessionConfig cfg = nativeCfg(2);
-        cfg.stm.tracePath = path;
-        NativeBackend b(cfg);
-        b.run({[&](TmExec &t) {
-            Addr x = t.txAlloc(256), y = t.txAlloc(256);
-            t.atomic([&] {
-                t.writeField(x, 0, 1);
-                t.writeField(y, 0, 2);
-            });
-            NativeThread &rival = b.session().thread(1);
-            t.atomic([&] {
-                t.readField(x, 0);
-                rival.atomic([&] { rival.writeField(y, 0, 9); });
-                t.readField(y, 0);
-            });
-        }});
-    }  // backend destroyed -> trace flushed
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::stringstream ss;
-    ss << in.rdbuf();
-    EXPECT_NE(ss.str().find("snapshotExtend"), std::string::npos);
 }
 
 // ------------------------------------------------ experiment runner

@@ -610,6 +610,22 @@ TEST(Service, SimStmRunsAndRerunsBitIdentical)
     EXPECT_EQ(a.fingerprint(), b.fingerprint());
 }
 
+TEST(Service, DepthSeriesStaysBounded)
+{
+    // 128 sample periods plus the t=0 sample, capped at 130: at 8191
+    // ns the 63 ns period fits 131 samples, so the cap binds there.
+    ServiceConfig cfg = baseServiceCfg();
+    cfg.arrival.ratePerSec = 5e5;
+    cfg.workload.initialSize = 32;
+    for (std::uint64_t duration : {2'000'000ull, 8'191ull}) {
+        cfg.durationNs = duration;
+        SimRequestExecutor exec(TmScheme::Stm, StmConfig{});
+        ServiceResult r = runService(cfg, exec);
+        EXPECT_GE(r.depthSeries.size(), 128u) << duration;
+        EXPECT_LE(r.depthSeries.size(), 130u) << duration;
+    }
+}
+
 TEST(Service, SimRivalryCausesRealAborts)
 {
     ServiceConfig cfg = baseServiceCfg();
