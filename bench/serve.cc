@@ -51,12 +51,6 @@
  *    cross-validation, and the native invariant sweep — on BOTH
  *    passes.
  *
- * A trace coda replays one recorded burst arrival stream (written
- * and re-read through the JSON-lines trace round-trip) against a
- * 1-worker native and a simulated scheme: both must see the
- * identical offered stream, and the replay must be bit-identical to
- * itself.
- *
  * Flags: --ci trims the matrix for CI latency; --backend
  * native|sim|all restricts the substrate (TSan runs use --backend
  * native: the sim's fibers cannot be instrumented); --scheme /
@@ -67,7 +61,6 @@
  */
 
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
@@ -75,14 +68,11 @@
 #include <thread>
 #include <vector>
 
-#include <unistd.h>
-
 #include "harness/cli.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
 #include "harness/table.hh"
 #include "service/server.hh"
-#include "service/trace_source.hh"
 #include "sim/logging.hh"
 
 using namespace hastm;
@@ -398,8 +388,6 @@ main(int argc, char **argv)
 
     std::vector<const SchemeCell *> schemes;
     std::string backend = argValue(argc, argv, "--backend");
-    bool sim_allowed = backend.empty() || backend == "all" ||
-                       backend == "sim";
     std::string only_scheme = argValue(argc, argv, "--scheme");
     for (const SchemeCell &s : kSchemes) {
         if (!backend.empty() && backend != "all" &&
@@ -610,79 +598,6 @@ main(int argc, char **argv)
         report.addCustom("workerScaling", std::move(ws));
     }
 
-    // ---- trace replay coda: record one burst stream, replay it on
-    // a 1-worker native scheme (and, when the sim substrate is in
-    // scope, a simulated one) — identical offered load on both,
-    // bit-identical to itself ----
-    {
-        ServiceConfig tcfg =
-            serveConfig(LoadKind::Burst, seeds[0], 1, duration_ns,
-                        50'000);
-        ArrivalGen gen(tcfg.arrival, tcfg.workload.seed * 31 + 7);
-        std::vector<ServiceRequest> stream;
-        ServiceRequest req;
-        while (gen.next(tcfg.durationNs, &req))
-            stream.push_back(req);
-        std::string path = "/tmp/hastm_serve_trace." +
-                           std::to_string(getpid()) + ".jsonl";
-        bool trace_ok = writeTraceFile(path, stream);
-        TraceParseResult parsed;
-        if (trace_ok) {
-            parsed = loadTraceFile(path, tcfg.workload.keyRange);
-            trace_ok = parsed.ok;
-        }
-        std::uint64_t fp_native = 0, fp_native2 = 0;
-        std::uint64_t offered_native = 0, offered_sim = 0;
-        if (trace_ok) {
-            tcfg.arrival.kind = ArrivalKind::Trace;
-            tcfg.trace = parsed.requests;
-            {
-                std::unique_ptr<RequestExecutor> e =
-                    makeExecutor(kSchemes[0], false);
-                ServiceResult r = runService(tcfg, *e);
-                fp_native = r.fingerprint();
-                offered_native = r.offered;
-            }
-            {
-                std::unique_ptr<RequestExecutor> e =
-                    makeExecutor(kSchemes[0], false);
-                fp_native2 = runService(tcfg, *e).fingerprint();
-            }
-            if (sim_allowed) {
-                std::unique_ptr<RequestExecutor> e =
-                    makeExecutor(kSchemes[1], false);
-                offered_sim = runService(tcfg, *e).offered;
-            }
-            if (offered_native != stream.size())
-                trace_ok = false;
-            if (sim_allowed && offered_sim != stream.size())
-                trace_ok = false;
-            if (fp_native != fp_native2)
-                trace_ok = false;
-        }
-        std::remove(path.c_str());
-        std::cout << "\ntrace replay: " << stream.size()
-                  << " recorded requests, native offered "
-                  << offered_native;
-        if (sim_allowed)
-            std::cout << ", sim offered " << offered_sim;
-        std::cout << ", native replay "
-                  << (fp_native == fp_native2 ? "bit-identical"
-                                              : "DIVERGED")
-                  << "\n";
-        if (!trace_ok)
-            failures.push_back("trace replay coda failed (see above)");
-        Json t = Json::object();
-        t.set("recorded", std::uint64_t(stream.size()))
-            .set("offeredNative", offered_native)
-            .set("simChecked", sim_allowed)
-            .set("offeredSim", offered_sim)
-            .set("nativeReplayIdentical", fp_native == fp_native2)
-            .set("schemesAgreeOnOffered",
-                 !sim_allowed || offered_native == offered_sim);
-        report.addCustom("trace-replay", std::move(t));
-    }
-
     // ---- summary SLO block ----
     Json slo = Json::object();
     slo.set("cells", std::uint64_t(cells.size()))
@@ -699,7 +614,6 @@ main(int argc, char **argv)
         return 1;
     }
     std::cout << "all " << cells.size()
-              << " cells passed (self-checks + two-mode determinism), "
-                 "trace replay clean\n";
+              << " cells passed (self-checks + two-mode determinism)\n";
     return 0;
 }

@@ -232,7 +232,6 @@ class Core : public MemListener
      * no-op and the mark counter increments on every loadSetMark.
      */
     void setFullMarkIsa(bool full) { fullMarkIsa_ = full; }
-    bool fullMarkIsa() const { return fullMarkIsa_; }
 
     /**
      * loadsetmark: load T at @p a, mark [a, a+gran). gran=0 =>
@@ -273,7 +272,6 @@ class Core : public MemListener
 
     void pushPhase(Phase p);
     void popPhase();
-    Phase currentPhase() const { return phase_; }
     Cycles phaseCycles(Phase p) const;
     std::uint64_t phaseInstrs(Phase p) const;
 

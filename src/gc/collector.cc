@@ -137,7 +137,6 @@ Collector::collect(Core &gc_core)
         }
     }
 
-    ++collections_;
     machine.sched().resumeTheWorld();
     return result;
 }

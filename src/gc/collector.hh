@@ -53,8 +53,6 @@ class Collector
      */
     GcResult collect(Core &gc_core);
 
-    std::uint64_t collections() const { return collections_; }
-
   private:
     /** Copy @p obj to to-space if live and not yet forwarded. */
     Addr forward(Addr obj);
@@ -71,7 +69,6 @@ class Collector
     std::map<Addr, std::size_t> newObjects_;
     std::vector<Addr> scanQueue_;
     Addr toBump_ = kNullAddr;
-    std::uint64_t collections_ = 0;
 };
 
 } // namespace hastm

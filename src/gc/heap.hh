@@ -45,9 +45,6 @@ class ManagedHeap
     Addr alloc(Core &core, std::size_t field_bytes,
                std::uint32_t ptr_mask);
 
-    /** Bytes left in from-space. */
-    std::size_t freeBytes() const { return fromEnd_ - bump_; }
-
     /** Bytes currently allocated in from-space. */
     std::size_t usedBytes() const { return bump_ - fromBase_; }
 

@@ -147,6 +147,15 @@
  * "demoteAbortRate", "demoteCapacityFrac", "demoteSpuriousFrac",
  * "markHitFloor", "serialRetries", "serialBudget"). Every other field
  * serializes as in v13.
+ *
+ * v15: the service has two arrival sources (Poisson, on/off burst)
+ * and two admission policies (drop-tail, delay backpressure). A serve
+ * cell's "service" config drops "arrival.tracePath" (the trace-file
+ * source), "admission.depthThreshold" (the depth-threshold policy)
+ * and "admission.shedKeepOneIn" (now the constant 4), and the serve
+ * report drops its "trace-replay" block ("recorded", "offeredNative",
+ * "simChecked", "offeredSim", "nativeReplayIdentical",
+ * "schemesAgreeOnOffered"). Every other field serializes as in v14.
  */
 
 #ifndef HASTM_HARNESS_REPORT_HH
@@ -162,7 +171,7 @@
 namespace hastm {
 
 /** The report document format version (see the header comment). */
-constexpr unsigned kReportSchemaVersion = 14;
+constexpr unsigned kReportSchemaVersion = 15;
 
 Json toJson(const Histogram &h);
 Json toJson(const LatencyHistogram &h);

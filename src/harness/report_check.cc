@@ -630,16 +630,6 @@ const ReportCheck kChecks[] = {
          return need(!at(ws, "checked").asBool() || ratio.asDouble() >= 1.8,
                      "sat4v1GoodputRatio " + show(ratio) + " < 1.8");
      }},
-    {"serve", "traceReplayIdentical", [](const Json &d) {
-         const Json &t = dataOf(d, "trace-replay");
-         return need(at(t, "nativeReplayIdentical").asBool(),
-                     "trace-replay " + show(t));
-     }},
-    {"serve", "traceSchemesAgree", [](const Json &d) {
-         const Json &t = dataOf(d, "trace-replay");
-         return need(at(t, "schemesAgreeOnOffered").asBool(),
-                     "trace-replay " + show(t));
-     }},
     {"serve", "sloSummary", [](const Json &d) {
          const Json &slo = dataOf(d, "summary/slo");
          return need(at(slo, "failures").isNumber() &&

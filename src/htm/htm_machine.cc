@@ -85,9 +85,7 @@ HtmMachine::doAbort(HtmAbortCause cause)
     doomed_ = true;
     lastCause_ = cause;
     ++aborts_;
-    if (cause == HtmAbortCause::Conflict)
-        ++conflictAborts_;
-    else if (cause == HtmAbortCause::Capacity)
+    if (cause == HtmAbortCause::Capacity)
         ++capacityAborts_;
 }
 

@@ -67,7 +67,6 @@ class HtmMachine
     void specStore(Addr a, std::uint64_t v);
 
     std::uint64_t aborts() const { return aborts_; }
-    std::uint64_t conflictAborts() const { return conflictAborts_; }
     std::uint64_t capacityAborts() const { return capacityAborts_; }
 
   private:
@@ -83,7 +82,6 @@ class HtmMachine
     bool doomed_ = false;
     HtmAbortCause lastCause_ = HtmAbortCause::None;
     std::uint64_t aborts_ = 0;
-    std::uint64_t conflictAborts_ = 0;
     std::uint64_t capacityAborts_ = 0;
 };
 

@@ -56,10 +56,8 @@ SimAllocator::free(Addr addr)
 {
     auto it = sizes_.find(addr);
     if (it == sizes_.end()) {
-        if (lenientFree_) {
-            ++badFrees_;
+        if (lenientFree_)
             return;
-        }
         panic("free of unallocated simulated address %#llx",
               static_cast<unsigned long long>(addr));
     }

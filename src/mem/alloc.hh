@@ -47,17 +47,14 @@ class SimAllocator
     void free(Addr addr);
 
     /**
-     * Tolerate (count, then ignore) frees of unallocated addresses
-     * instead of panicking. Only test harnesses that deliberately
-     * corrupt execution (e.g. StmConfig::testSkipCommitValidation
-     * lets doomed transactions commit stale state, so two of them can
-     * free the same node) enable this: such runs must fail through
-     * the replay oracle, not crash the host process.
+     * Ignore frees of unallocated addresses instead of panicking.
+     * Only test harnesses that deliberately corrupt execution (e.g.
+     * StmConfig::testSkipCommitValidation lets doomed transactions
+     * commit stale state, so two of them can free the same node)
+     * enable this: such runs must fail through the replay oracle, not
+     * crash the host process.
      */
     void setLenientFree(bool lenient) { lenientFree_ = lenient; }
-
-    /** Frees of unallocated addresses ignored under lenient mode. */
-    std::size_t badFrees() const { return badFrees_; }
 
     /** Bytes currently handed out. */
     std::size_t allocatedBytes() const { return allocated_; }
@@ -75,7 +72,6 @@ class SimAllocator
     std::map<Addr, std::size_t> sizes_;       //!< live allocation sizes
     std::size_t allocated_ = 0;
     bool lenientFree_ = false;
-    std::size_t badFrees_ = 0;
 
     void insertFree(Addr addr, std::size_t len);
 };

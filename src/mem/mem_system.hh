@@ -203,9 +203,6 @@ class MemSystem
     Cache &l2() { return *l2_; }
     StatGroup &stats() { return stats_; }
 
-    std::uint64_t l1Hits(CoreId c) const { return l1Hits_[c].value(); }
-    std::uint64_t l1Misses(CoreId c) const { return l1Misses_[c].value(); }
-
     /** Reset every coherence/event counter (cache contents stay). */
     void resetCounters() { stats_.resetAll(); }
 

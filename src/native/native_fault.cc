@@ -7,24 +7,6 @@
 
 namespace hastm {
 
-const char *
-nativeFaultPointName(NativeFaultPoint p)
-{
-    switch (p) {
-      case NativeFaultPoint::Tl2ReadGap:       return "tl2ReadGap";
-      case NativeFaultPoint::PreAcquire:       return "preAcquire";
-      case NativeFaultPoint::PostAcquire:      return "postAcquire";
-      case NativeFaultPoint::CommitTicket:     return "commitTicket";
-      case NativeFaultPoint::ExtendRevalidate: return "extendRevalidate";
-      case NativeFaultPoint::PreRollback:      return "preRollback";
-      case NativeFaultPoint::GateArrive:       return "gateArrive";
-      case NativeFaultPoint::GateEnter:        return "gateEnter";
-      case NativeFaultPoint::GateRelease:      return "gateRelease";
-      case NativeFaultPoint::Backoff:          return "backoff";
-    }
-    return "?";
-}
-
 namespace {
 
 constexpr unsigned kYieldMax = 4;   //!< Yield draws 1..kYieldMax yields

@@ -81,8 +81,6 @@ enum class NativeFaultPoint : std::uint8_t {
 
 constexpr unsigned kNumNativeFaultPoints = 10;
 
-const char *nativeFaultPointName(NativeFaultPoint p);
-
 /** Injection campaign parameters (NativeSessionConfig::fault). */
 struct NativeFaultParams
 {

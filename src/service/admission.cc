@@ -7,19 +7,7 @@ admissionPolicyName(AdmissionPolicy p)
 {
     switch (p) {
       case AdmissionPolicy::DropTail:          return "droptail";
-      case AdmissionPolicy::DepthThreshold:    return "depth";
       case AdmissionPolicy::DelayBackpressure: return "backpressure";
-    }
-    return "?";
-}
-
-const char *
-admissionDecisionName(AdmissionDecision d)
-{
-    switch (d) {
-      case AdmissionDecision::Admit:    return "admit";
-      case AdmissionDecision::DropFull: return "drop";
-      case AdmissionDecision::Shed:     return "shed";
     }
     return "?";
 }

@@ -2,15 +2,13 @@
  * @file
  * Pluggable admission control for the bounded request queue.
  *
- * Three policies, all deterministic functions of queue state and the
+ * Two policies, both deterministic functions of queue state and the
  * last closed latency window (no wall clocks):
  *
  *  - DropTail: admit until the queue is physically full. The
  *    baseline every policy inherits — a full queue always drops.
- *  - DepthThreshold: shed once the queue reaches a configured depth,
- *    keeping headroom below the physical bound.
- *  - DelayBackpressure: shed (admitting 1 in shedKeepOneIn to keep
- *    probing) while the last closed window's p99 exceeds the SLO —
+ *  - DelayBackpressure: shed (admitting 1 in kShedKeepOneIn to keep
+ *    probing) while the last closed window's p99 exceeds sloP99Ns —
  *    the signal is delay, not depth, so slow service sheds even at
  *    shallow depth and a fast drain re-opens admission.
  */
@@ -24,20 +22,20 @@ namespace hastm {
 
 enum class AdmissionPolicy : std::uint8_t {
     DropTail,
-    DepthThreshold,
     DelayBackpressure,
 };
 
 const char *admissionPolicyName(AdmissionPolicy p);
 
+/** While shedding, DelayBackpressure still admits 1 of this many
+ *  arrivals (progress probe). */
+constexpr unsigned kShedKeepOneIn = 4;
+
 struct AdmissionConfig
 {
     AdmissionPolicy policy = AdmissionPolicy::DropTail;
     unsigned queueCap = 64;        //!< physical bound (all policies)
-    unsigned depthThreshold = 48;  //!< DepthThreshold shed point
     std::uint64_t sloP99Ns = 2'000'000; //!< DelayBackpressure trigger
-    /** While shedding, still admit 1 of this many (progress probe). */
-    unsigned shedKeepOneIn = 4;
     /**
      * Self-check bound, not a control input: a campaign asserts the
      * committed-request p99 stays within sloP99Ns * sloMultiple
@@ -47,8 +45,6 @@ struct AdmissionConfig
 };
 
 enum class AdmissionDecision : std::uint8_t { Admit, DropFull, Shed };
-
-const char *admissionDecisionName(AdmissionDecision d);
 
 class AdmissionController
 {
@@ -67,14 +63,10 @@ class AdmissionController
         switch (cfg_.policy) {
           case AdmissionPolicy::DropTail:
             return AdmissionDecision::Admit;
-          case AdmissionPolicy::DepthThreshold:
-            return queue_depth >= cfg_.depthThreshold
-                       ? AdmissionDecision::Shed
-                       : AdmissionDecision::Admit;
           case AdmissionPolicy::DelayBackpressure:
             if (last_window_p99 <= cfg_.sloP99Ns)
                 return AdmissionDecision::Admit;
-            return shedTick_++ % cfg_.shedKeepOneIn == 0
+            return shedTick_++ % kShedKeepOneIn == 0
                        ? AdmissionDecision::Admit
                        : AdmissionDecision::Shed;
         }

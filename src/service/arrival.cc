@@ -12,7 +12,6 @@ arrivalKindName(ArrivalKind k)
     switch (k) {
       case ArrivalKind::Poisson:    return "poisson";
       case ArrivalKind::OnOffBurst: return "onoff";
-      case ArrivalKind::Trace:      return "trace";
     }
     return "?";
 }
@@ -82,7 +81,6 @@ ZipfKeys::rankOf(std::uint64_t key) const
 ArrivalGen::ArrivalGen(const ArrivalConfig &cfg, std::uint64_t seed)
     : cfg_(cfg), rng_(seed), keys_(cfg.keyRange, cfg.zipfS)
 {
-    HASTM_ASSERT(cfg.kind != ArrivalKind::Trace);
     HASTM_ASSERT(cfg.ratePerSec > 0.0);
     if (cfg.kind == ArrivalKind::OnOffBurst) {
         HASTM_ASSERT(cfg.burstRatePerSec > 0.0);

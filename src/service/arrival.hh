@@ -27,7 +27,6 @@
 #define HASTM_SERVICE_ARRIVAL_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "harness/oracle.hh"
@@ -35,7 +34,7 @@
 
 namespace hastm {
 
-enum class ArrivalKind : std::uint8_t { Poisson, OnOffBurst, Trace };
+enum class ArrivalKind : std::uint8_t { Poisson, OnOffBurst };
 
 const char *arrivalKindName(ArrivalKind k);
 
@@ -49,7 +48,6 @@ struct ArrivalConfig
     double zipfS = 0.0;             //!< 0 = uniform key popularity
     unsigned updatePct = 20;        //!< inserts+removes share (50/50)
     std::uint64_t keyRange = 1024;
-    std::string tracePath;          //!< ArrivalKind::Trace source file
 };
 
 /** One transactional request flowing through the service. */

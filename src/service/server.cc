@@ -255,31 +255,12 @@ ServiceRun::run()
     // populate() resets the stats, so the accumulated base is zero.
     exec_.populate(cfg_.workload, unsigned(workers_.size()));
 
-    // ---- arrival source ----
-    std::unique_ptr<ArrivalGen> gen;
-    std::size_t traceIdx = 0;
-    if (cfg_.arrival.kind == ArrivalKind::Trace) {
-        // Pre-parsed by the caller (service/trace_source.hh).
-    } else {
-        gen = std::make_unique<ArrivalGen>(cfg_.arrival,
-                                           cfg_.workload.seed * 31 + 7);
-        boundaries_ = gen->phaseBoundaries(cfg_.durationNs);
-        segBurst_ = gen->burstAt(0);
-    }
+    ArrivalGen gen(cfg_.arrival, cfg_.workload.seed * 31 + 7);
+    boundaries_ = gen.phaseBoundaries(cfg_.durationNs);
+    segBurst_ = gen.burstAt(0);
 
     ServiceRequest pending;
-    bool havePending = false;
-    auto pull = [&]() {
-        if (gen) {
-            havePending = gen->next(cfg_.durationNs, &pending);
-        } else {
-            havePending = traceIdx < cfg_.trace.size() &&
-                          cfg_.trace[traceIdx].arrivalNs <= cfg_.durationNs;
-            if (havePending)
-                pending = cfg_.trace[traceIdx++];
-        }
-    };
-    pull();
+    bool havePending = gen.next(cfg_.durationNs, &pending);
 
     constexpr std::uint64_t kInf = ~std::uint64_t(0);
     std::uint64_t lastCompletion = 0;
@@ -334,7 +315,7 @@ ServiceRun::run()
                 ++segShed_;
                 break;
             }
-            pull();
+            havePending = gen.next(cfg_.durationNs, &pending);
         }
     }
     HASTM_ASSERT(queue_.empty());
@@ -381,8 +362,6 @@ ServiceRun::run()
 ServiceResult
 runService(const ServiceConfig &cfg, RequestExecutor &exec)
 {
-    if (cfg.arrival.kind == ArrivalKind::Trace && cfg.trace.empty())
-        fatal("service: Trace arrival kind with no pre-parsed trace");
     ServiceRun run(cfg, exec);
     return run.run();
 }
@@ -443,15 +422,11 @@ toJson(const ServiceConfig &cfg)
         .set("zipfS", cfg.arrival.zipfS)
         .set("updatePct", cfg.arrival.updatePct)
         .set("keyRange", cfg.arrival.keyRange);
-    if (!cfg.arrival.tracePath.empty())
-        a.set("tracePath", cfg.arrival.tracePath);
 
     Json adm = Json::object();
     adm.set("policy", admissionPolicyName(cfg.admission.policy))
         .set("queueCap", cfg.admission.queueCap)
-        .set("depthThreshold", cfg.admission.depthThreshold)
         .set("sloP99Ns", cfg.admission.sloP99Ns)
-        .set("shedKeepOneIn", cfg.admission.shedKeepOneIn)
         .set("sloMultiple", cfg.admission.sloMultiple);
 
     Json j = Json::object();

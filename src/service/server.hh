@@ -70,8 +70,6 @@ struct ServiceConfig
     std::uint64_t perBarrierNs = 12;
     std::uint64_t perAbortNs = 1500;
     std::uint64_t perIrrevocNs = 4000;
-    /** Pre-parsed requests when arrival.kind == Trace. */
-    std::vector<ServiceRequest> trace;
 };
 
 /** One closed latency window (the backpressure control signal). */

@@ -209,9 +209,6 @@ class StmThread : public TmThread
      */
     void gcFixup(const std::function<Addr(Addr)> &relocated);
 
-    /** True if the thread is inside a (suspended) transaction. */
-    bool gcSuspendedInTx() const { return depth_ > 0; }
-
   protected:
     // ---- TmThread scheme hooks ----
     void begin() override;

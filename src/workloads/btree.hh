@@ -45,9 +45,6 @@ class Btree
 
     void registerRoots(Collector &gc);
 
-    /** Root-holder object address (GC registration, debug walkers). */
-    Addr rootHolderAddr() const { return rootHolder_; }
-
     static constexpr unsigned kMaxKeys = 8;
 
   private:

@@ -55,8 +55,6 @@ class HashTable
     /** Register the bucket objects as GC roots. */
     void registerRoots(Collector &gc);
 
-    unsigned numBuckets() const { return numBuckets_; }
-
   private:
     // Node field offsets.
     static constexpr unsigned kKey = 0;

@@ -393,12 +393,6 @@ mutations()
          [](Json &d) { editRun(d, "workerScaling", [](Json &run) {
              run["data"]["checked"] = true;
              run["data"]["sat4v1GoodputRatio"] = 1.79; }); }},
-        {"BENCH_serve.json", "traceReplayIdentical",
-         [](Json &d) { editRun(d, "trace-replay", [](Json &run) {
-             run["data"]["nativeReplayIdentical"] = false; }); }},
-        {"BENCH_serve.json", "traceSchemesAgree",
-         [](Json &d) { editRun(d, "trace-replay", [](Json &run) {
-             run["data"]["schemesAgreeOnOffered"] = false; }); }},
         {"BENCH_serve.json", "sloSummary",
          [](Json &d) { editRun(d, "summary/slo", [](Json &run) {
              run["data"]["failures"] = 1; }); }},

@@ -5,10 +5,9 @@
  *
  * Covers: exact bucket boundaries and quantile error of the
  * log-linear LatencyHistogram; determinism, rate, Zipf skew, and
- * phase geometry of the arrival generators; the strict JSON-lines
- * trace parser (positive round-trip plus every negative path, each
- * diagnosing the right line number); the admission policies as pure
- * decision functions; end-to-end service runs on both backends —
+ * phase geometry of the arrival generators; the admission policies
+ * as pure decision functions; end-to-end service runs on both
+ * backends, offered the same arrivals —
  * underload completes everything, overload sheds without collapse,
  * deterministic executors rerun bit-identically, multi-worker native
  * pools validate without a fingerprint — and the serial-gate overload
@@ -21,13 +20,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <sstream>
 #include <vector>
 
 #include "harness/report.hh"
 #include "service/server.hh"
-#include "service/trace_source.hh"
 
 namespace hastm {
 namespace {
@@ -297,114 +293,6 @@ TEST(Arrival, PoissonHasNoPhaseBoundaries)
     EXPECT_FALSE(gen.burstAt(12345));
 }
 
-// ---- trace parsing ----
-
-TEST(TraceSource, RoundTripsThroughAFile)
-{
-    std::vector<ServiceRequest> reqs;
-    for (std::uint64_t i = 0; i < 50; ++i) {
-        ServiceRequest r;
-        r.arrivalNs = i * 1000;
-        r.op = i % 3 == 0   ? OpKind::Insert
-               : i % 3 == 1 ? OpKind::Remove
-                            : OpKind::Contains;
-        r.key = i % 32;
-        r.value = r.op == OpKind::Insert ? i * 7 : 0;
-        r.seq = i;
-        reqs.push_back(r);
-    }
-    std::string path = "service_trace_roundtrip.jsonl";
-    ASSERT_TRUE(writeTraceFile(path, reqs));
-    TraceParseResult got = loadTraceFile(path, 32);
-    std::remove(path.c_str());
-    ASSERT_TRUE(got.ok) << got.diag;
-    ASSERT_EQ(got.requests.size(), reqs.size());
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-        EXPECT_EQ(got.requests[i].arrivalNs, reqs[i].arrivalNs);
-        EXPECT_EQ(int(got.requests[i].op), int(reqs[i].op));
-        EXPECT_EQ(got.requests[i].key, reqs[i].key);
-        EXPECT_EQ(got.requests[i].seq, i);
-        if (reqs[i].op == OpKind::Insert) {
-            EXPECT_EQ(got.requests[i].value, reqs[i].value);
-        }
-    }
-}
-
-TraceParseResult
-parseText(const std::string &text, std::uint64_t key_range = 64)
-{
-    std::istringstream in(text);
-    return parseTrace(in, key_range);
-}
-
-TEST(TraceSource, TruncatedJsonNamesTheLine)
-{
-    TraceParseResult r = parseText(
-        "{\"t\": 0, \"op\": \"contains\", \"key\": 1}\n"
-        "{\"t\": 5, \"op\": \"cont\n");
-    EXPECT_FALSE(r.ok);
-    EXPECT_NE(r.diag.find("line 2"), std::string::npos) << r.diag;
-}
-
-TEST(TraceSource, UnknownOpNamesTheLine)
-{
-    TraceParseResult r = parseText(
-        "{\"t\": 0, \"op\": \"contains\", \"key\": 1}\n"
-        "{\"t\": 1, \"op\": \"upsert\", \"key\": 2}\n");
-    EXPECT_FALSE(r.ok);
-    EXPECT_NE(r.diag.find("line 2"), std::string::npos) << r.diag;
-    EXPECT_NE(r.diag.find("upsert"), std::string::npos) << r.diag;
-}
-
-TEST(TraceSource, KeyOutOfRangeRejected)
-{
-    TraceParseResult r =
-        parseText("{\"t\": 0, \"op\": \"contains\", \"key\": 64}\n");
-    EXPECT_FALSE(r.ok);
-    EXPECT_NE(r.diag.find("line 1"), std::string::npos) << r.diag;
-}
-
-TEST(TraceSource, MissingAndMistypedFieldsRejected)
-{
-    EXPECT_FALSE(parseText("{\"op\": \"contains\", \"key\": 1}\n").ok);
-    EXPECT_FALSE(parseText("{\"t\": 0, \"key\": 1}\n").ok);
-    EXPECT_FALSE(parseText("{\"t\": 0, \"op\": \"contains\"}\n").ok);
-    EXPECT_FALSE(
-        parseText("{\"t\": 1.5, \"op\": \"contains\", \"key\": 1}\n").ok);
-    EXPECT_FALSE(
-        parseText("{\"t\": -3, \"op\": \"contains\", \"key\": 1}\n").ok);
-    EXPECT_FALSE(
-        parseText("{\"t\": 0, \"op\": \"contains\", \"key\": -1}\n").ok);
-    EXPECT_FALSE(parseText("[1, 2, 3]\n").ok) << "non-object line";
-}
-
-TEST(TraceSource, NonMonotonicTimestampsRejected)
-{
-    TraceParseResult r = parseText(
-        "{\"t\": 100, \"op\": \"contains\", \"key\": 1}\n"
-        "{\"t\": 99, \"op\": \"contains\", \"key\": 2}\n");
-    EXPECT_FALSE(r.ok);
-    EXPECT_NE(r.diag.find("line 2"), std::string::npos) << r.diag;
-}
-
-TEST(TraceSource, BlankLinesAndEqualTimestampsAllowed)
-{
-    TraceParseResult r = parseText(
-        "{\"t\": 5, \"op\": \"insert\", \"key\": 1, \"value\": 9}\n"
-        "\n"
-        "{\"t\": 5, \"op\": \"remove\", \"key\": 1}\n");
-    ASSERT_TRUE(r.ok) << r.diag;
-    ASSERT_EQ(r.requests.size(), 2u);
-    EXPECT_EQ(r.requests[0].value, 9u);
-}
-
-TEST(TraceSource, MissingFileDiagnosed)
-{
-    TraceParseResult r = loadTraceFile("no_such_trace_file.jsonl", 64);
-    EXPECT_FALSE(r.ok);
-    EXPECT_FALSE(r.diag.empty());
-}
-
 // ---- admission policies ----
 
 TEST(Admission, DropTailOnlyDropsWhenFull)
@@ -418,30 +306,18 @@ TEST(Admission, DropTailOnlyDropsWhenFull)
     EXPECT_EQ(int(c.decide(4, 0)), int(AdmissionDecision::DropFull));
 }
 
-TEST(Admission, DepthThresholdShedsEarly)
-{
-    AdmissionConfig cfg;
-    cfg.policy = AdmissionPolicy::DepthThreshold;
-    cfg.queueCap = 8;
-    cfg.depthThreshold = 4;
-    AdmissionController c(cfg);
-    EXPECT_EQ(int(c.decide(3, 0)), int(AdmissionDecision::Admit));
-    EXPECT_EQ(int(c.decide(4, 0)), int(AdmissionDecision::Shed));
-    EXPECT_EQ(int(c.decide(8, 0)), int(AdmissionDecision::DropFull));
-}
-
 TEST(Admission, BackpressureShedsOnDelayKeepingAProbe)
 {
     AdmissionConfig cfg;
     cfg.policy = AdmissionPolicy::DelayBackpressure;
     cfg.queueCap = 64;
     cfg.sloP99Ns = 1000;
-    cfg.shedKeepOneIn = 4;
     AdmissionController c(cfg);
     // Within SLO: always admit, and the probe counter does not tick.
     for (int i = 0; i < 10; ++i)
         EXPECT_EQ(int(c.decide(5, 1000)), int(AdmissionDecision::Admit));
-    // Over SLO: 1 admit in 4.
+    // Over SLO: 1 admit in kShedKeepOneIn.
+    static_assert(kShedKeepOneIn == 4);
     int admits = 0, sheds = 0;
     for (int i = 0; i < 12; ++i) {
         AdmissionDecision d = c.decide(5, 1001);
@@ -566,29 +442,31 @@ TEST(Service, BurstSegmentsAlternateAndAccount)
     EXPECT_GT(r.segments[1].offered, r.segments[0].offered);
 }
 
-TEST(Service, TraceDrivenRunIsDeterministic)
+TEST(Service, ArrivalsDoNotDependOnTheBackend)
 {
-    std::vector<ServiceRequest> reqs;
-    for (std::uint64_t i = 0; i < 300; ++i) {
-        ServiceRequest q;
-        q.arrivalNs = (i + 1) * 20'000;
-        q.op = i % 4 == 0 ? OpKind::Insert : OpKind::Contains;
-        q.key = (i * 37) % 256;
-        q.value = i;
-        q.seq = i;
-        reqs.push_back(q);
-    }
+    // The arrival stream is a function of the config and seed alone:
+    // a native and a simulated run of one burst config are offered
+    // the same requests, phase by phase.
     ServiceConfig cfg = baseServiceCfg();
-    cfg.arrival.kind = ArrivalKind::Trace;
-    cfg.trace = reqs;
+    cfg.arrival.kind = ArrivalKind::OnOffBurst;
+    cfg.arrival.ratePerSec = 1e4;
+    cfg.arrival.burstRatePerSec = 1e5;
+    cfg.arrival.offNs = 2'000'000;
+    cfg.arrival.onNs = 1'000'000;
+    cfg.durationNs = 6'000'000;
     cfg.workers = 1;
-    NativeRequestExecutor e1{StmConfig{}}, e2{StmConfig{}};
-    ServiceResult a = runService(cfg, e1);
-    EXPECT_EQ(a.offered, 300u);
-    EXPECT_EQ(a.completed, 300u);
-    EXPECT_TRUE(a.invariantOk);
-    ServiceResult b = runService(cfg, e2);
-    EXPECT_EQ(a.fingerprint(), b.fingerprint());
+    NativeRequestExecutor native{StmConfig{}};
+    SimRequestExecutor sim(TmScheme::Stm, StmConfig{});
+    ServiceResult a = runService(cfg, native);
+    ServiceResult b = runService(cfg, sim);
+    EXPECT_EQ(a.offered, b.offered);
+    // Boundaries at 2, 3, 5 ms -> 4 segments off/on/off/on.
+    ASSERT_EQ(a.segments.size(), 4u);
+    ASSERT_EQ(b.segments.size(), a.segments.size());
+    for (std::size_t i = 0; i < a.segments.size(); ++i) {
+        EXPECT_GT(a.segments[i].offered, 0u) << i;
+        EXPECT_EQ(a.segments[i].offered, b.segments[i].offered) << i;
+    }
 }
 
 TEST(Service, SimStmRunsAndRerunsBitIdentical)
