@@ -19,15 +19,14 @@
  * "2x overload" means the same thing on a barrier-heavy software STM
  * and on the hardware rung.
  *
- * Native cells run their workers REALLY in parallel: the pool
- * executor (service/executor.hh) executes admitted requests
- * concurrently on N host threads sharing one native STM — genuine
- * cross-worker conflicts — and workers = 1 is one FIFO host thread
- * with a bit-identical fingerprint. Sim cells run each request on one
- * simulated core against rival commits from a second, scaled by how
- * many busy workers collide with it. A worker-scaling sweep
- * (native x 1/2/4 workers x sat/over) measures the throughput
- * headline; the saturated 4-worker cell must
+ * Both backends run a cell's workers as one pool (service/executor.hh)
+ * and their conflicts are genuine. Native cells execute admitted
+ * requests concurrently on N host threads sharing one native STM;
+ * workers = 1 is one FIFO host thread with a bit-identical
+ * fingerprint. Sim cells run the admitted backlog in batches on N
+ * simulated worker cores, deterministic at every worker count. A
+ * worker-scaling sweep (native x 1/2/4 workers x sat/over) measures
+ * the throughput headline; the saturated 4-worker cell must
  * reach >= 1.8x the 1-worker goodput on a >= 4-core host (the check
  * skips with a warning below that).
  *
@@ -134,13 +133,12 @@ serveWorkload(std::uint64_t seed)
     w.initialSize = 128;
     w.keyRange = 256;
     w.seed = seed;
-    w.conflictClasses = 4;
     return w;
 }
 
 /**
- * Effective mean service time for one scheme: a zero-rival batch of
- * Contains requests, one at a time, through a fresh 1-worker
+ * Effective mean service time for one scheme: a contention-free batch
+ * of Contains requests, one at a time, through a fresh 1-worker
  * executor, fed into the virtual service-time model. Deterministic (the 1-worker
  * executors are), so both passes and every worker count agree on
  * capacity.
@@ -181,7 +179,6 @@ serveConfig(LoadKind load, std::uint64_t seed, unsigned workers,
     cfg.perIrrevocNs = 40'000;
     cfg.durationNs = duration_ns;
     cfg.windowNs = 1'000'000;
-    cfg.rivalCap = 3;
     cfg.admission.queueCap = 64;
     cfg.admission.sloP99Ns = 20 * service_ns;
     cfg.admission.sloMultiple = 2.0;
@@ -209,10 +206,10 @@ serveConfig(LoadKind load, std::uint64_t seed, unsigned workers,
         // backlog drain at every worker count.
         cfg.admission.sloP99Ns =
             (cfg.admission.queueCap / workers + 8) * service_ns / 2;
-        // The pre-shed backlog (run concurrently on the native pool,
-        // against rivals on the sim) drains at an abort-inflated
-        // service time the contention-free calibration cannot see;
-        // widen the checked bound (not the trigger) to cover it.
+        // The pre-shed backlog (run concurrently on either pool)
+        // drains at an abort-inflated service time the contention-
+        // free calibration cannot see; widen the checked bound (not
+        // the trigger) to cover it.
         cfg.admission.sloMultiple = 2.5;
         break;
       case LoadKind::Burst:
@@ -295,10 +292,10 @@ checkCell(LoadKind load, const ServiceConfig &cfg, const ServiceResult &r,
         break;
       case LoadKind::Sat:
         // The contention feedback loop (backlog -> concurrent
-        // requests or rivals -> aborts -> longer service) pushes
-        // effective utilization past 1.0 at the contention-free-
-        // calibrated knee, so some queue-full drops are expected; the
-        // check is "most work completes, no collapse".
+        // requests -> aborts -> longer service) pushes effective
+        // utilization past 1.0 at the contention-free-calibrated
+        // knee, so some queue-full drops are expected; the check is
+        // "most work completes, no collapse".
         if (r.completed < r.offered * 2 / 3)
             return "saturation completed < 2/3 of offered";
         if (r.goodputPerSec < 0.5 * capacity)

@@ -156,6 +156,12 @@
  * report drops its "trace-replay" block ("recorded", "offeredNative",
  * "simChecked", "offeredSim", "nativeReplayIdentical",
  * "schemesAgreeOnOffered"). Every other field serializes as in v14.
+ *
+ * v16: the sim service executor runs the admitted backlog on one
+ * simulated worker core per virtual worker instead of injecting rival
+ * commits, so its contention is genuine. A serve cell's "service"
+ * config drops "conflictClasses" and "rivalCap", and its "result"
+ * drops "rivalsInjected". Every other field serializes as in v15.
  */
 
 #ifndef HASTM_HARNESS_REPORT_HH
@@ -171,7 +177,7 @@
 namespace hastm {
 
 /** The report document format version (see the header comment). */
-constexpr unsigned kReportSchemaVersion = 15;
+constexpr unsigned kReportSchemaVersion = 16;
 
 Json toJson(const Histogram &h);
 Json toJson(const LatencyHistogram &h);

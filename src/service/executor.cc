@@ -7,37 +7,6 @@
 
 namespace hastm {
 
-// ---- RivalryExec ----
-
-bool
-RivalryExec::atomic(const std::function<void()> &fn)
-{
-    // Delegate the whole retry loop to the inner thread so its
-    // scheme, stats, watchdog, and gate behavior apply unchanged;
-    // only the body is wrapped. The wrapper re-evaluates its state on
-    // every attempt: once the inner thread escalates to irrevocable,
-    // the bracket (and any rival firing) is skipped — the block then
-    // commits alone, exactly like a quiesced overload victim.
-    return inner_.atomic([&] {
-        if (pending_ == 0 || !fire_ || inner_.inIrrevocable()) {
-            fn();
-            return;
-        }
-        inner_.readField(hot_, cls_ * 8);
-        fn();
-        --pending_;
-        fire_();  // rival commit invalidates the bracket read
-        inner_.readField(hot_, cls_ * 8);
-    });
-}
-
-void
-RivalryExec::unreachable(const char *hook)
-{
-    panic("RivalryExec::%s: decorator scheme hooks must never run",
-          hook);
-}
-
 namespace svcdetail {
 
 void
@@ -149,7 +118,7 @@ NativeRequestExecutor::submit(const ServiceRequest &req)
 }
 
 ExecOutcome
-NativeRequestExecutor::collect(std::uint64_t ticket, unsigned)
+NativeRequestExecutor::collect(std::uint64_t ticket)
 {
     HASTM_ASSERT(pool_);
     return pool_->collect(ticket);
@@ -234,27 +203,22 @@ NativeRequestExecutor::invariant()
 
 SimRequestExecutor::SimRequestExecutor(TmScheme scheme,
                                        const StmConfig &stm)
+    : scheme_(scheme), stm_(stm)
 {
-    SimBackendConfig cfg;
-    cfg.machine.mem.numCores = 2;  // core 0 requests, core 1 rivalry
-    cfg.session.scheme = scheme;
-    cfg.session.numThreads = 2;
-    cfg.session.stm = stm;
-    backend_ = std::make_unique<SimBackend>(cfg);
 }
 
 void
-SimRequestExecutor::populate(const ExecutorWorkload &w, unsigned)
+SimRequestExecutor::populate(const ExecutorWorkload &w, unsigned workers)
 {
-    pending_.clear();
-    classes_ = std::max(1u, w.conflictClasses);
+    SimBackendConfig cfg;
+    cfg.session.scheme = scheme_;
+    cfg.session.numThreads = std::max(1u, workers);
+    cfg.machine.mem.numCores = cfg.session.numThreads;
+    cfg.session.stm = stm_;
+    backend_ = std::make_unique<SimBackend>(cfg);
+    backlog_.clear();
+    done_.clear();
     backend_->run({[&](TmExec &t) {
-        t.setSite(txsite::kGeneric);
-        t.atomic([&] {
-            hot_ = t.txAlloc(classes_ * 8);
-            for (unsigned c = 0; c < classes_; ++c)
-                t.writeField(hot_, c * 8, 1);
-        });
         svcdetail::buildAndPopulate(t, w, &ds_);
     }});
     backend_->resetStats();
@@ -264,64 +228,47 @@ std::uint64_t
 SimRequestExecutor::submit(const ServiceRequest &req)
 {
     std::uint64_t ticket = nextTicket_++;
-    pending_.emplace(ticket, req);
+    backlog_.emplace_back(ticket, req);
     return ticket;
 }
 
-ExecOutcome
-SimRequestExecutor::collect(std::uint64_t ticket, unsigned rivals)
+void
+SimRequestExecutor::runBacklog()
 {
-    auto it = pending_.find(ticket);
-    HASTM_ASSERT(it != pending_.end());
-    const ServiceRequest req = it->second;
-    pending_.erase(it);
-    unsigned cls = unsigned(req.key % classes_);
-    ExecOutcome o;
-    RivalPace pace;
-    // Spin quantum and cap for the handshake: enough simulated work
-    // for the peer fiber to run a whole short transaction, bounded so
-    // a rival that cannot commit right now (e.g. stalled by the
-    // worker's own hardware transaction) never wedges the run.
-    constexpr unsigned kSpin = 25, kSpinCap = 400;
-    std::vector<std::function<void(TmExec &)>> bodies;
-    bodies.emplace_back([&](TmExec &t) {
-        RivalryExec rx(t);
-        rx.arm(hot_, cls, rivals, [&pace, &t] {
-            ++pace.want;
-            for (unsigned i = 0; i < kSpinCap && pace.done < pace.want;
-                 ++i) {
-                t.simInstr(kSpin);
-            }
-        });
-        o = svcdetail::measureOp(rx, ds_.ops, req);
-        o.commitStamp = t.commitStamp();
-        pace.quit = true;
-    });
-    if (rivals > 0) {
-        bodies.emplace_back([&, cls, rivals](TmExec &t) {
-            t.setSite(txsite::kGeneric);
-            for (unsigned i = 0; i < rivals; ++i) {
-                while (!pace.quit && pace.want <= i)
-                    t.simInstr(kSpin);
-                if (pace.want <= i)
-                    break;  // worker finished without this rival
-                t.atomic([&] {
-                    std::uint64_t v = t.readField(hot_, cls * 8);
-                    t.writeField(hot_, cls * 8, v + 1);
-                });
-                ++pace.done;
-            }
-        });
+    // Every fiber drains the one shared FIFO. Fibers are cooperative,
+    // so the host-side queue needs no lock, and which fiber takes
+    // which request is fixed by the deterministic scheduler.
+    auto drain = [this](TmExec &t) {
+        while (!backlog_.empty()) {
+            auto [ticket, req] = backlog_.front();
+            backlog_.pop_front();
+            done_.emplace(ticket, svcdetail::measureOp(t, ds_.ops, req));
+        }
+    };
+    std::size_t fibers =
+        std::min<std::size_t>(backend_->numThreads(), backlog_.size());
+    backend_->run(std::vector<std::function<void(TmExec &)>>(fibers,
+                                                             drain));
+}
+
+ExecOutcome
+SimRequestExecutor::collect(std::uint64_t ticket)
+{
+    auto it = done_.find(ticket);
+    if (it == done_.end()) {
+        runBacklog();
+        it = done_.find(ticket);
+        HASTM_ASSERT(it != done_.end());
     }
-    backend_->run(bodies);
-    o.rivals = rivals;
+    ExecOutcome o = it->second;
+    done_.erase(it);
     return o;
 }
 
 TmStats
 SimRequestExecutor::totalStats() const
 {
-    return backend_->totalStats();
+    return backend_ ? backend_->totalStats() : TmStats{};
 }
 
 std::uint64_t

@@ -22,25 +22,25 @@
  *    outcomes depend on host interleaving; the executor records every
  *    request and validates the run instead (replay oracle, sim
  *    replay, invariant sweep).
- *  - SimRequestExecutor runs each request at collect time as a
- *    2-fiber simulator step: body 0 is the request, bracketed by a
- *    RivalryExec with reads of a per-class hot word, body 1 a genuine
- *    rival fiber committing hot-word writes concurrently under the
- *    deterministic scheduler. The caller scales the rival count by
- *    how many busy virtual workers collide on the request's conflict
- *    class. The fibers pace each other through a host-side handshake
- *    (fibers are cooperative, so plain flags are deterministic): each
- *    worker attempt signals for exactly one rival commit and spins
- *    simulated instructions until it lands inside the attempt's
- *    window. This is where the Adaptive arbiter and every simulated
- *    scheme meet open-system overload. (Running the backlog on N
- *    worker fibers instead reverses the adaptive-vs-STM result; see
- *    EXPERIMENTS.md.)
+ *  - SimRequestExecutor is the same pool on the simulator: one
+ *    simulated core per virtual worker. A submitted request waits in
+ *    a host-side FIFO; the first collect() of a request that has not
+ *    run yet runs the whole waiting backlog as one batch on
+ *    min(workers, backlog) worker fibers, each taking the next
+ *    request in FIFO order, and stores every outcome under its
+ *    ticket. The requests of one batch run side by side under the
+ *    deterministic scheduler, so their conflicts are genuine; a
+ *    request that finds the backlog empty runs alone. Fibers are
+ *    cooperative and the batch boundaries follow the discrete-event
+ *    loop, so every sim run is bit-identical run to run. This is
+ *    where the Adaptive arbiter and every simulated scheme meet
+ *    open-system overload.
  */
 
 #ifndef HASTM_SERVICE_EXECUTOR_HH
 #define HASTM_SERVICE_EXECUTOR_HH
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -65,124 +65,18 @@ struct ExecutorWorkload
     std::uint64_t initialSize = 256;
     std::uint64_t keyRange = 1024;
     std::uint64_t seed = 1;
-    /** Keys map to key % conflictClasses hot words (sim rivalry). */
-    unsigned conflictClasses = 8;
 };
 
 /** Measured outcome of one executed request (stats deltas). */
 struct ExecOutcome
 {
     bool opResult = false;
-    unsigned rivals = 0;               //!< sim rival commits armed
     std::uint64_t commits = 0;
     std::uint64_t aborts = 0;
     std::uint64_t barriers = 0;        //!< read + write barriers
     std::uint64_t irrevocable = 0;     //!< serial-gate escalations
     std::uint64_t serialDispatch = 0;  //!< adaptive serial-rung txns
     std::uint64_t commitStamp = 0;
-};
-
-/**
- * TmExec decorator injecting deterministic rivalry around the atomic
- * blocks the data-structure ops run. Delegates the whole retry loop
- * to the inner thread (so stats, watchdog, and serial-irrevocable
- * behavior are the inner scheme's own) with the body wrapped:
- *
- *   read hot[cls]; body(); fire one rival commit / spacer;
- *   read hot[cls] again  ->  genuine stale-read abort
- *
- * Each armed attempt consumes one pending rival and fires it through
- * the caller-supplied hook (the sim executor's fiber handshake), so
- * `rivals` attempts take a real conflict abort each, then the request
- * commits cleanly (or a watchdog escalation cuts the sequence short).
- * Irrevocable attempts never bracket: an irrevocable transaction runs
- * alone by definition.
- */
-class RivalryExec : public TmExec
-{
-  public:
-    explicit RivalryExec(TmExec &inner) : inner_(inner) {}
-
-    void
-    arm(Addr hot, unsigned cls, unsigned rivals,
-        std::function<void()> fire)
-    {
-        hot_ = hot;
-        cls_ = cls;
-        pending_ = rivals;
-        fire_ = std::move(fire);
-    }
-
-    bool atomic(const std::function<void()> &fn) override;
-
-    bool
-    atomicOrElse(const std::function<void()> &first,
-                 const std::function<void()> &second) override
-    {
-        return inner_.atomicOrElse(first, second);
-    }
-
-    std::uint64_t readWord(Addr a) override { return inner_.readWord(a); }
-    void
-    writeWord(Addr a, std::uint64_t v, bool is_ptr) override
-    {
-        inner_.writeWord(a, v, is_ptr);
-    }
-    std::uint64_t
-    readField(Addr obj, unsigned off) override
-    {
-        return inner_.readField(obj, off);
-    }
-    void
-    writeField(Addr obj, unsigned off, std::uint64_t v,
-               bool is_ptr) override
-    {
-        inner_.writeField(obj, off, v, is_ptr);
-    }
-    Addr
-    txAlloc(std::size_t field_bytes, std::uint32_t ptr_mask) override
-    {
-        return inner_.txAlloc(field_bytes, ptr_mask);
-    }
-    void txFree(Addr obj) override { inner_.txFree(obj); }
-    void validateNow() override { inner_.validateNow(); }
-    bool inTx() const override { return inner_.inTx(); }
-    void simInstr(unsigned n) override { inner_.simInstr(n); }
-    void simInstrIlp(unsigned n) override { inner_.simInstrIlp(n); }
-    const TmStats &stats() const override { return inner_.stats(); }
-    void resetStats() override { inner_.resetStats(); }
-    void setSite(std::uint32_t site) override { inner_.setSite(site); }
-    std::uint32_t site() const override { return inner_.site(); }
-    bool inIrrevocable() const override { return inner_.inIrrevocable(); }
-
-  protected:
-    // Never reached: atomic() delegates to the inner driver, so the
-    // base retry loop (which would call these) never runs here.
-    void begin() override { unreachable("begin"); }
-    bool commit() override { unreachable("commit"); return false; }
-    void rollback() override { unreachable("rollback"); }
-    void onConflict(unsigned) override { unreachable("onConflict"); }
-    void waitForChange(unsigned) override { unreachable("waitForChange"); }
-
-  private:
-    [[noreturn]] static void unreachable(const char *hook);
-
-    TmExec &inner_;
-    Addr hot_ = kNullAddr;
-    unsigned cls_ = 0;
-    unsigned pending_ = 0;
-    std::function<void()> fire_;
-};
-
-/**
- * Host-side handshake pacing the sim rival fiber (cooperative fibers
- * under the deterministic scheduler make plain fields race-free).
- */
-struct RivalPace
-{
-    unsigned want = 0;  //!< rival commits requested by the worker
-    unsigned done = 0;  //!< rival commits landed
-    bool quit = false;  //!< worker finished; rival must not wait more
 };
 
 /** One host worker thread's end-of-run tally (native pool). */
@@ -226,19 +120,14 @@ class RequestExecutor
      *  May block while the native dispatch channel is full. */
     virtual std::uint64_t submit(const ServiceRequest &req) = 0;
 
-    /**
-     * Block until the submitted request really finished. @p rivals
-     * is how many busy virtual workers collide with it: the sim
-     * executor injects that many rival commits, the native pool
-     * ignores it (its workers really run side by side).
-     */
-    virtual ExecOutcome collect(std::uint64_t ticket, unsigned rivals) = 0;
+    /** Block until the submitted request really finished. */
+    virtual ExecOutcome collect(std::uint64_t ticket) = 0;
 
-    /** Synchronous, rival-free probe (calibration, post-run checks). */
+    /** Synchronous probe (calibration, post-run checks). */
     virtual ExecOutcome
     execute(const ServiceRequest &req)
     {
-        return collect(submit(req), 0);
+        return collect(submit(req));
     }
 
     /** Pool occupancy + validation report (native only; quiesces the
@@ -273,7 +162,7 @@ class NativeRequestExecutor : public RequestExecutor
 
     void populate(const ExecutorWorkload &w, unsigned workers) override;
     std::uint64_t submit(const ServiceRequest &req) override;
-    ExecOutcome collect(std::uint64_t ticket, unsigned rivals) override;
+    ExecOutcome collect(std::uint64_t ticket) override;
     ExecOutcome execute(const ServiceRequest &req) override;
     PoolOutcome poolOutcome() override;
     TmStats totalStats() const override;
@@ -298,28 +187,35 @@ class NativeRequestExecutor : public RequestExecutor
     std::unique_ptr<WorkerPool> pool_;
 };
 
-/** The sim executor: a request core plus a rival core. */
+/**
+ * The sim executor: a SimBackend with one simulated core per virtual
+ * worker (sized by populate()), running the admitted backlog in
+ * batches on worker fibers.
+ */
 class SimRequestExecutor : public RequestExecutor
 {
   public:
     SimRequestExecutor(TmScheme scheme, const StmConfig &stm);
 
-    /** @p workers is unused: requests run one at a time, the other
-     *  busy workers' contention arrives as rivals. */
     void populate(const ExecutorWorkload &w, unsigned workers) override;
     std::uint64_t submit(const ServiceRequest &req) override;
-    ExecOutcome collect(std::uint64_t ticket, unsigned rivals) override;
+    ExecOutcome collect(std::uint64_t ticket) override;
     TmStats totalStats() const override;
     std::uint64_t checksum() override;
     std::uint64_t size() override;
     bool invariant() override;
 
   private:
+    void runBacklog();
+
+    const TmScheme scheme_;
+    const StmConfig stm_;
     std::unique_ptr<SimBackend> backend_;
     DsInstance ds_;
-    Addr hot_ = kNullAddr;
-    unsigned classes_ = 1;
-    std::unordered_map<std::uint64_t, ServiceRequest> pending_;
+    /** Submitted requests that have not run yet, in ticket order. */
+    std::deque<std::pair<std::uint64_t, ServiceRequest>> backlog_;
+    /** Outcomes of requests that ran but are not collected yet. */
+    std::unordered_map<std::uint64_t, ExecOutcome> done_;
     std::uint64_t nextTicket_ = 0;
 };
 

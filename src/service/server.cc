@@ -25,12 +25,6 @@ struct Completion
     }
 };
 
-struct Worker
-{
-    bool busy = false;
-    unsigned cls = 0;
-};
-
 /** A queued admitted request plus its executor ticket. */
 struct Queued
 {
@@ -67,9 +61,9 @@ class ServiceRun
     ServiceRun(const ServiceConfig &cfg, RequestExecutor &exec)
         : cfg_(cfg), exec_(exec),
           admission_(cfg.admission),
-          workers_(std::max(1u, cfg.workers)),
-          wBusy_(workers_.size(), 0),
-          wDone_(workers_.size(), 0),
+          busy_(std::max(1u, cfg.workers), false),
+          wBusy_(busy_.size(), 0),
+          wDone_(busy_.size(), 0),
           samplePeriod_(std::max<std::uint64_t>(
               1, cfg.durationNs / kDepthSamples))
     {
@@ -89,7 +83,7 @@ class ServiceRun
     AdmissionController admission_;
     ServiceResult r_;
 
-    std::vector<Worker> workers_;
+    std::vector<bool> busy_;  //!< per virtual worker
     std::vector<std::uint64_t> wBusy_, wDone_;  //!< virtual occupancy
     /**
      * TM counters per arrival phase, summed from collected outcomes
@@ -209,32 +203,22 @@ ServiceRun::dispatchFree(std::uint64_t now)
     for (;;) {
         if (queue_.empty())
             return;
-        unsigned free = unsigned(workers_.size());
-        for (unsigned w = 0; w < workers_.size(); ++w) {
-            if (!workers_[w].busy) {
+        unsigned free = unsigned(busy_.size());
+        for (unsigned w = 0; w < busy_.size(); ++w) {
+            if (!busy_[w]) {
                 free = w;
                 break;
             }
         }
-        if (free == workers_.size())
+        if (free == busy_.size())
             return;
         Queued q = queue_.front();
         queue_.pop_front();
-        const ServiceRequest &req = q.req;
-        unsigned cls =
-            unsigned(req.key % std::max(1u, cfg_.workload.conflictClasses));
-        unsigned colliding = 0;
-        for (const Worker &w : workers_) {
-            if (w.busy && w.cls == cls)
-                ++colliding;
-        }
         // Block for the request's measured outcome. The native pool
         // has been running it since admission, alongside everything
-        // else admitted; the sim executor runs it now, against rivals
-        // scaled by the busy workers it collides with.
-        ExecOutcome o =
-            exec_.collect(q.ticket, std::min(colliding, cfg_.rivalCap));
-        r_.rivalsInjected += o.rivals;
+        // else admitted; the sim executor runs it now if it has not
+        // yet, in one batch with the rest of the waiting backlog.
+        ExecOutcome o = exec_.collect(q.ticket);
         if (q.segment >= segTm_.size())
             segTm_.resize(q.segment + 1);
         SegmentTm &tm = segTm_[q.segment];
@@ -242,10 +226,9 @@ ServiceRun::dispatchFree(std::uint64_t now)
         tm.aborts += o.aborts;
         tm.irrevocableEntries += o.irrevocable;
         tm.serialDispatch += o.serialDispatch;
-        workers_[free].busy = true;
-        workers_[free].cls = cls;
+        busy_[free] = true;
         completions_.push(
-            {now + serviceNsFor(o), free, req.arrivalNs, now});
+            {now + serviceNsFor(o), free, q.req.arrivalNs, now});
     }
 }
 
@@ -253,7 +236,7 @@ ServiceResult
 ServiceRun::run()
 {
     // populate() resets the stats, so the accumulated base is zero.
-    exec_.populate(cfg_.workload, unsigned(workers_.size()));
+    exec_.populate(cfg_.workload, unsigned(busy_.size()));
 
     ArrivalGen gen(cfg_.arrival, cfg_.workload.seed * 31 + 7);
     boundaries_ = gen.phaseBoundaries(cfg_.durationNs);
@@ -280,7 +263,7 @@ ServiceRun::run()
             winHist_.record(lat);
             ++r_.completed;
             ++segCompleted_;
-            workers_[c.worker].busy = false;
+            busy_[c.worker] = false;
             wBusy_[c.worker] += c.time - c.dispatchNs;
             ++wDone_[c.worker];
             lastCompletion = c.time;
@@ -377,7 +360,6 @@ ServiceResult::fingerprint() const
     mix(&h, completed);
     mix(&h, makespanNs);
     mix(&h, maxQueueDepth);
-    mix(&h, rivalsInjected);
     mix(&h, sloViolationWindows);
     mix(&h, windowCount);
     mix(&h, latency.count());
@@ -435,9 +417,7 @@ toJson(const ServiceConfig &cfg)
         .set("initialSize", cfg.workload.initialSize)
         .set("keyRange", cfg.workload.keyRange)
         .set("seed", cfg.workload.seed)
-        .set("conflictClasses", cfg.workload.conflictClasses)
         .set("workers", cfg.workers)
-        .set("rivalCap", cfg.rivalCap)
         .set("arrival", std::move(a))
         .set("admission", std::move(adm))
         .set("durationNs", cfg.durationNs)
@@ -504,7 +484,6 @@ toJson(const ServiceResult &r)
         .set("windows", std::move(windows))
         .set("depthSeries", std::move(depth))
         .set("maxQueueDepth", r.maxQueueDepth)
-        .set("rivalsInjected", r.rivalsInjected)
         .set("segments", std::move(segments))
         .set("tm", toJson(r.tm))
         .set("finalSize", r.finalSize)

@@ -17,10 +17,11 @@
  * and its measured outcome is collected when it reaches a free
  * virtual worker. On the native pool, requests admitted but not yet
  * collected run side by side on real host threads; the sim executor
- * runs each request at collection with rivals injected in proportion
- * to how many busy workers collide on its conflict class. Either way
- * contention lengthens service, which deepens the queue, which raises
- * contention: the open-system overload feedback loop.
+ * runs the admitted backlog side by side on simulated worker cores,
+ * one batch per collection of a request that has not run yet. Either
+ * way a deeper queue means more requests running at once, whose
+ * genuine conflicts lengthen service, which deepens the queue: the
+ * open-system overload feedback loop.
  *
  * Measurement is first-class: per-request latency (arrival ->
  * completion) in a log-linear percentile histogram, windowed p99
@@ -63,8 +64,6 @@ struct ServiceConfig
     AdmissionConfig admission;
     std::uint64_t durationNs = 20'000'000;  //!< arrivals stop here
     std::uint64_t windowNs = 1'000'000;     //!< p99 control window
-    /** Cap on injected sim rivals per request (collision-scaled). */
-    unsigned rivalCap = 3;
     // ---- deterministic service-time model ----
     std::uint64_t baseServiceNs = 1500;
     std::uint64_t perBarrierNs = 12;
@@ -118,9 +117,8 @@ struct ServiceResult
     std::vector<ServiceWindow> windows;
     std::vector<std::pair<std::uint64_t, unsigned>> depthSeries;
     unsigned maxQueueDepth = 0;
-    std::uint64_t rivalsInjected = 0;
     std::vector<ServiceSegment> segments;
-    TmStats tm;  //!< executor totals (every worker, sim rival included)
+    TmStats tm;  //!< executor totals (every worker)
     // ---- virtual per-worker occupancy (schema v10) ----
     /** Virtual busy ns per virtual worker (sums to totalBusyNs). */
     std::vector<std::uint64_t> workerBusyNs;

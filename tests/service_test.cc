@@ -339,7 +339,6 @@ baseServiceCfg()
     cfg.workload.initialSize = 128;
     cfg.workload.keyRange = 256;
     cfg.workload.seed = 1;
-    cfg.workload.conflictClasses = 4;
     cfg.workers = 4;
     cfg.arrival = poissonCfg(3e4, 256);
     cfg.durationNs = 10'000'000;
@@ -469,23 +468,44 @@ TEST(Service, ArrivalsDoNotDependOnTheBackend)
     }
 }
 
-TEST(Service, SimStmRunsAndRerunsBitIdentical)
+/** Sim overload: the admitted backlog queues up, so the executor
+ *  runs batches of several requests on its worker fibers. */
+ServiceConfig
+simOverloadCfg()
 {
     ServiceConfig cfg = baseServiceCfg();
-    cfg.arrival.ratePerSec = 5e4;  // genuine underload even with
-                                   // rivalry-induced abort penalties
-    cfg.durationNs = 2'000'000;
+    cfg.arrival.ratePerSec = 6e5;
+    cfg.durationNs = 1'500'000;
     cfg.workload.initialSize = 32;
-    cfg.workload.conflictClasses = 1;
+    cfg.admission.queueCap = 16;
+    return cfg;
+}
+
+TEST(Service, SimStmRunsAndRerunsBitIdentical)
+{
+    ServiceConfig under = baseServiceCfg();
+    under.arrival.ratePerSec = 5e4;  // genuine underload
+    under.durationNs = 2'000'000;
+    under.workload.initialSize = 32;
     SimRequestExecutor e1(TmScheme::Stm, StmConfig{});
-    ServiceResult a = runService(cfg, e1);
+    ServiceResult a = runService(under, e1);
     EXPECT_GT(a.completed, 50u);
     EXPECT_EQ(a.completed, a.offered);
     EXPECT_TRUE(a.invariantOk);
     EXPECT_GE(a.tm.commits, a.completed);
     SimRequestExecutor e2(TmScheme::Stm, StmConfig{});
-    ServiceResult b = runService(cfg, e2);
+    ServiceResult b = runService(under, e2);
     EXPECT_EQ(a.fingerprint(), b.fingerprint());
+    // Overload: the backlog runs in multi-request batches on the
+    // worker fibers, and the batches follow the event loop, so a
+    // rerun is still bit-identical.
+    ServiceConfig over = simOverloadCfg();
+    SimRequestExecutor e3(TmScheme::Stm, StmConfig{});
+    ServiceResult c = runService(over, e3);
+    EXPECT_GT(c.maxQueueDepth, 1u);
+    SimRequestExecutor e4(TmScheme::Stm, StmConfig{});
+    ServiceResult d = runService(over, e4);
+    EXPECT_EQ(c.fingerprint(), d.fingerprint());
 }
 
 TEST(Service, DepthSeriesStaysBounded)
@@ -504,19 +524,21 @@ TEST(Service, DepthSeriesStaysBounded)
     }
 }
 
-TEST(Service, SimRivalryCausesRealAborts)
+TEST(Service, SimPooledWorkersConflictForReal)
 {
-    ServiceConfig cfg = baseServiceCfg();
-    cfg.arrival.ratePerSec = 6e5;  // overload -> busy collisions
-    cfg.durationNs = 1'500'000;
-    cfg.workload.initialSize = 32;
-    cfg.workload.conflictClasses = 1;
-    cfg.admission.queueCap = 16;
-    SimRequestExecutor exec(TmScheme::Stm, StmConfig{});
-    ServiceResult r = runService(cfg, exec);
-    EXPECT_GT(r.rivalsInjected, 0u);
+    // One overload config, two pool sizes. Four worker fibers run the
+    // backlog side by side and conflict; one fiber runs every request
+    // alone. So the aborts come from concurrency alone.
+    ServiceConfig cfg = simOverloadCfg();
+    SimRequestExecutor pooled(TmScheme::Stm, StmConfig{});
+    ServiceResult r = runService(cfg, pooled);
     EXPECT_GT(r.tm.aborts, 0u);
     EXPECT_TRUE(r.invariantOk);
+    cfg.workers = 1;
+    SimRequestExecutor alone(TmScheme::Stm, StmConfig{});
+    ServiceResult r1 = runService(cfg, alone);
+    EXPECT_EQ(r1.tm.aborts, 0u);
+    EXPECT_TRUE(r1.invariantOk);
 }
 
 TEST(Service, JsonSerializationIsWellFormed)
@@ -609,9 +631,7 @@ ServiceConfig
 simBurstCfg()
 {
     ServiceConfig cfg = baseServiceCfg();
-    cfg.workload.conflictClasses = 1;
     cfg.workload.initialSize = 32;
-    cfg.rivalCap = 3;
     cfg.arrival.kind = ArrivalKind::OnOffBurst;
     cfg.arrival.ratePerSec = 1e3;
     cfg.arrival.burstRatePerSec = 6e5;
@@ -624,14 +644,19 @@ simBurstCfg()
 
 TEST(Service, SimStmOverloadEscalatesIntoSerialAndRecovers)
 {
+    // A two-key hot spot: the burst's backlog runs on four worker
+    // fibers whose requests genuinely conflict often enough to trip
+    // the watchdog.
     ServiceConfig cfg = simBurstCfg();
+    cfg.workload.keyRange = 2;
+    cfg.arrival.keyRange = 2;
     StmConfig stm;
     stm.watchdogConsecAborts = 2;  // hair-trigger watchdog
     SimRequestExecutor exec(TmScheme::Stm, stm);
     ServiceResult r = runService(cfg, exec);
     ASSERT_EQ(r.segments.size(), 3u);
     EXPECT_TRUE(r.segments[1].burst);
-    // The calm lead-in never overlaps workers: no rivalry, no
+    // The calm lead-in never overlaps requests: no conflicts, no
     // aborts, no escalations.
     EXPECT_EQ(r.segments[0].irrevocableEntries, 0u);
     // The burst drives real watchdog escalations into the simulated
@@ -644,16 +669,15 @@ TEST(Service, SimStmOverloadEscalatesIntoSerialAndRecovers)
     EXPECT_TRUE(r.invariantOk);
 }
 
-TEST(Service, SimAdaptiveBeatsSoftwareStmUnderIdenticalOverload)
+TEST(Service, SimAdaptiveAndStmServeTheSameBurst)
 {
     // The same open-system burst, same seed, same hair-trigger
-    // watchdog, two runtimes: pure software STM burns full retry
-    // sequences on every conflicted request, while the adaptive
-    // runtime rides the hardware rung (whose conflict resolution
-    // stalls or takes cheap HTM aborts) and demotes only the sites
-    // that keep failing — the paper's architectural-support
-    // argument, measured through the service as more completed
-    // requests and fewer aborts under identical offered load.
+    // watchdog, two runtimes, the backlog on four worker fibers. Both
+    // are offered the identical stream and keep the structure intact;
+    // the adaptive runtime rides the hardware rung, takes its genuine
+    // conflicts there as HTM aborts, and demotes only sites that keep
+    // failing. Which runtime completes more is measured, not asserted
+    // (EXPERIMENTS.md, "Adaptive vs STM under genuine concurrency").
     ServiceConfig cfg = simBurstCfg();
     StmConfig stm;
     stm.watchdogConsecAborts = 2;
@@ -664,12 +688,7 @@ TEST(Service, SimAdaptiveBeatsSoftwareStmUnderIdenticalOverload)
     ASSERT_EQ(ra.segments.size(), 3u);
     EXPECT_TRUE(rs.invariantOk);
     EXPECT_TRUE(ra.invariantOk);
-    EXPECT_GT(ra.rivalsInjected, 0u);
-    // Goodput and conflict cost: adaptive completes more of the
-    // identical offered stream, with fewer software aborts.
     EXPECT_EQ(ra.offered, rs.offered);
-    EXPECT_GT(ra.completed, rs.completed);
-    EXPECT_LT(ra.tm.aborts, rs.tm.aborts);
     // The hardware rung really engaged: HTM conflicts were taken
     // there (the software run cannot have any), and the arbiter kept
     // the majority of dispatches on it through the burst.
