@@ -86,8 +86,8 @@ phasedCfg(TmScheme scheme)
     // hardware transaction escalates after 8 retries instead of 64,
     // which bounds both fixed HyTM's worst case and the adaptive
     // runtime's exploration cost at the hardware rung.
-    cfg.stm.watchdogConsecAborts = 8;
-    cfg.stm.watchdogRetriesPerCommit = 32;
+    cfg.stm.watchdog.consecAborts = 8;
+    cfg.stm.watchdog.retriesPerCommit = 32;
     return cfg;
 }
 

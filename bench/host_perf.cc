@@ -5,8 +5,8 @@
  * Default (sim): runs a Fig 18-20-style sweep once sequentially
  * (--jobs 1) and once under the thread pool, measures both wall
  * times, and proves the parallel pass produced bit-identical
- * simulation results. The parallel job count comes from --jobs /
- * $HASTM_BENCH_JOBS, else min(4, host cores). On a single-core host
+ * simulation results. The parallel job count comes from --jobs,
+ * else min(4, host cores). On a single-core host
  * the pool cannot win and the speedup honestly reports ~1.0; the
  * committed baseline records `hostCores` so readers can tell.
  *
@@ -15,9 +15,10 @@
  * (read-heavy, write-heavy, disjoint), best-of-2 wall-clock ops/sec
  * per cell, with self-checked scaling bars against each mix's
  * 1-thread cell: read-heavy at 4 threads >= 1.5x and disjoint at 4
- * threads >= 1.0x (failing cells are re-measured before the
- * verdict; bars above the host's core count are reported but not
- * enforced). Recorded native op logs are
+ * threads >= 1.0x (a 4-thread cell that misses is re-measured, up to
+ * two extra reps, against the same best-of-2 1-thread cell every
+ * printed speedup uses; bars above the host's core count are
+ * reported but not enforced). Recorded native op logs are
  * then cross-validated by replaying them through the simulator
  * (three seeds per workload; any divergence fails the run). --ci
  * trims to 1/2/4 threads and one seed. Emits BENCH_host_native.json
@@ -216,14 +217,14 @@ runNativeMode(int argc, char **argv)
         };
         bool barred = mix.bar4 > 0.0;
         bool bar_applies = barred && (host_cores == 0 || host_cores >= 4);
-        // Re-measure a failing cell and its 1-thread reference (up to
-        // two extra reps each) before declaring a regression: one
-        // descheduled rep must not fail the sweep.
+        // Re-measure the failing cell (up to two extra reps) before
+        // declaring a regression: one descheduled rep must not fail
+        // the sweep. Only the missed cell: a re-measured 1-thread
+        // reference could only rise (best-of), so its retry would
+        // make the bar stricter, never looser.
         for (int extra = 0;
-             extra < 2 && bar_applies && speedup(i4) < mix.bar4; ++extra) {
-            improveBest(cfgs[i1], best[i1], ok);
+             extra < 2 && bar_applies && speedup(i4) < mix.bar4; ++extra)
             improveBest(cfgs[i4], best[i4], ok);
-        }
         bool pass = !bar_applies || speedup(i4) >= mix.bar4;
         if (!pass) {
             bars_ok = false;

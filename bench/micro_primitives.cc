@@ -343,8 +343,7 @@ BENCHMARK(BM_WriteBarrier_Stm)->UseManualTime();
  * handling runs. google-benchmark's timing loops must run
  * sequentially or the host measurements would contend, so an
  * explicit `--jobs N` with N > 1 is rejected up front (exit 2)
- * rather than silently ignored; a parallel $HASTM_BENCH_JOBS alone
- * only warns, since sweep drivers export it process-wide.
+ * rather than silently ignored.
  */
 int
 main(int argc, char **argv)
@@ -355,9 +354,6 @@ main(int argc, char **argv)
         std::fprintf(stderr, "micro_primitives: %s\n", jobs_msg.c_str());
         return 2;
     }
-    if (!jobs_msg.empty())
-        std::fprintf(stderr, "micro_primitives: warning: %s\n",
-                     jobs_msg.c_str());
     std::vector<char *> args;
     std::string out_flag, fmt_flag = "--benchmark_out_format=json";
     std::string json_path;

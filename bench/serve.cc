@@ -100,7 +100,7 @@ std::unique_ptr<RequestExecutor>
 makeExecutor(const SchemeCell &s, bool sim_replay)
 {
     if (s.native)
-        return std::make_unique<NativeRequestExecutor>(StmConfig{},
+        return std::make_unique<NativeRequestExecutor>(Watchdog{},
                                                        sim_replay);
     return std::make_unique<SimRequestExecutor>(s.scheme, StmConfig{});
 }
@@ -150,20 +150,20 @@ calibrateServiceNs(const SchemeCell &s, const ServiceConfig &proto)
         makeExecutor(s, /*sim_replay=*/false);
     exec->populate(proto.workload, 1);
     constexpr unsigned kProbes = 64;
-    std::uint64_t barriers = 0, aborts = 0, irrevoc = 0;
+    ExecOutcome mean;  // per-probe mean, truncated to whole counts
     for (unsigned i = 0; i < kProbes; ++i) {
         ServiceRequest req;
         req.op = OpKind::Contains;
         req.key = (i * 37) % proto.workload.keyRange;
         ExecOutcome o = exec->execute(req);
-        barriers += o.barriers;
-        aborts += o.aborts;
-        irrevoc += o.irrevocable;
+        mean.barriers += o.barriers;
+        mean.aborts += o.aborts;
+        mean.irrevocable += o.irrevocable;
     }
-    return proto.baseServiceNs +
-           proto.perBarrierNs * (barriers / kProbes) +
-           proto.perAbortNs * (aborts / kProbes) +
-           proto.perIrrevocNs * (irrevoc / kProbes);
+    mean.barriers /= kProbes;
+    mean.aborts /= kProbes;
+    mean.irrevocable /= kProbes;
+    return serviceNsFor(proto, mean);
 }
 
 ServiceConfig

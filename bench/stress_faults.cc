@@ -52,8 +52,8 @@ stressCfg(TmScheme scheme, WorkloadKind workload,
     cfg.machine.fault.seed = seed * 1000003ull + 17;
     // Escalate quickly so the serial-irrevocable path is exercised,
     // not just reachable.
-    cfg.stm.watchdogConsecAborts = 8;
-    cfg.stm.watchdogRetriesPerCommit = 32;
+    cfg.stm.watchdog.consecAborts = 8;
+    cfg.stm.watchdog.retriesPerCommit = 32;
     return cfg;
 }
 

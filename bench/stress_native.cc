@@ -66,8 +66,8 @@ tortureCfg(WorkloadKind workload, const std::string &profile,
     cfg.heapBytes = 32ull << 20;
     // Escalate quickly so the serial-irrevocable path is exercised,
     // not just reachable (same thresholds as stress_faults).
-    cfg.stm.watchdogConsecAborts = 8;
-    cfg.stm.watchdogRetriesPerCommit = 32;
+    cfg.watchdog.consecAborts = 8;
+    cfg.watchdog.retriesPerCommit = 32;
     cfg.fault = nativeFaultProfile(profile);
     cfg.fault.seed = seed * 1000003ull + 17;
     return cfg;

@@ -67,7 +67,7 @@ runNative(const NativeExperimentConfig &cfg, bool sim_replay)
     HASTM_ASSERT(cfg.threads >= 1);
     NativeSessionConfig nc;
     nc.numThreads = cfg.threads;
-    nc.stm = cfg.stm;
+    nc.watchdog = cfg.watchdog;
     nc.heapBytes = cfg.heapBytes;
     nc.fault = cfg.fault;
     NativeBackend backend(nc);

@@ -33,7 +33,7 @@
 #include "harness/ds_ops.hh"
 #include "harness/oracle.hh"
 #include "native/native_fault.hh"
-#include "stm/stm.hh"
+#include "stm/tm_iface.hh"
 
 namespace hastm {
 
@@ -46,7 +46,7 @@ class NativeSession;
  */
 struct NativeExperimentConfig : OpMixConfig
 {
-    StmConfig stm;
+    Watchdog watchdog;
     std::size_t heapBytes = 64ull << 20;
     /**
      * Partition the key range per thread: thread t draws keys from

@@ -142,13 +142,22 @@ toJson(const StmConfig &c)
         .set("cmPolicy", cmPolicyName(c.cm.policy))
         .set("clearMarksAtEnd", c.clearMarksAtEnd)
         .set("filterWrites", c.filterWrites)
-        .set("watchdogConsecAborts", c.watchdogConsecAborts)
-        .set("watchdogRetriesPerCommit", c.watchdogRetriesPerCommit)
+        .set("watchdogConsecAborts", c.watchdog.consecAborts)
+        .set("watchdogRetriesPerCommit", c.watchdog.retriesPerCommit)
         .set("recShardLog2Records", c.recShardLog2Records)
         .set("recHashMix", c.recHashMix)
         .set("recShardPerArena", c.recShardPerArena);
     if (!c.tracePath.empty())
         j.set("tracePath", c.tracePath);
+    return j;
+}
+
+Json
+toJson(const Watchdog &w)
+{
+    Json j = Json::object();
+    j.set("consecAborts", w.consecAborts)
+        .set("retriesPerCommit", w.retriesPerCommit);
     return j;
 }
 
@@ -252,7 +261,7 @@ toJson(const NativeExperimentConfig &c)
         .set("heapBytes", std::uint64_t(c.heapBytes))
         .set("disjoint", c.disjoint)
         .set("recordOps", c.recordOps)
-        .set("stm", toJson(c.stm));
+        .set("watchdog", toJson(c.watchdog));
     // Schema v8: native fault-injection campaign identity — profile +
     // seed reproduce the injected sequence bit-identically.
     j.set("faultProfile", c.fault.profile).set("faultSeed", c.fault.seed);

@@ -12,9 +12,10 @@
  * Document schema (one per bench binary):
  *   {
  *     "bench": "<name>",
- *     "schemaVersion": 14,
+ *     "schemaVersion": 17,
  *     "runs": [ { "label": ...,
- *                 "config": { ...ExperimentConfig|MicroConfig... },
+ *                 "config": { ...ExperimentConfig|MicroConfig|
+ *                             NativeExperimentConfig... },
  *                 "result": { "makespan", "instructions", "loads",
  *                             "stores", "l1HitLoads", "checksum",
  *                             "finalSize", "invariantOk",
@@ -162,6 +163,17 @@
  * commits, so its contention is genuine. A serve cell's "service"
  * config drops "conflictClasses" and "rivalCap", and its "result"
  * drops "rivalsInjected". Every other field serializes as in v15.
+ *
+ * v17: the native STM reads only its starvation-watchdog thresholds,
+ * so a native run's config ("backend": "native") replaces its "stm"
+ * block with "watchdog": {"consecAborts", "retriesPerCommit"}. The
+ * native config drops "stm.granularity", "stm.validateEvery",
+ * "stm.cmPolicy", "stm.clearMarksAtEnd", "stm.filterWrites",
+ * "stm.recShardLog2Records", "stm.recHashMix" and
+ * "stm.recShardPerArena"; "stm.watchdogConsecAborts" and
+ * "stm.watchdogRetriesPerCommit" become "watchdog.consecAborts" and
+ * "watchdog.retriesPerCommit". Sim configs keep their "stm" block
+ * and its key names. Every other field serializes as in v16.
  */
 
 #ifndef HASTM_HARNESS_REPORT_HH
@@ -177,12 +189,13 @@
 namespace hastm {
 
 /** The report document format version (see the header comment). */
-constexpr unsigned kReportSchemaVersion = 16;
+constexpr unsigned kReportSchemaVersion = 17;
 
 Json toJson(const Histogram &h);
 Json toJson(const LatencyHistogram &h);
 Json toJson(const TmStats &s);
 Json toJson(const StmConfig &c);
+Json toJson(const Watchdog &w);
 Json toJson(const ExperimentConfig &c);
 Json toJson(const MicroConfig &c);
 Json toJson(const ExperimentResult &r);

@@ -22,23 +22,17 @@ ExperimentRunner::ExperimentRunner(int argc, char **argv)
 unsigned
 ExperimentRunner::resolveJobs(int argc, char **argv)
 {
-    auto parse = [](const char *s, const char *origin) -> unsigned {
+    for (int i = 1; i < argc; ++i) {
+        if (std::string(argv[i]) != "--jobs")
+            continue;
+        if (i + 1 >= argc)
+            fatal("--jobs requires an argument");
+        const char *s = argv[i + 1];
         char *end = nullptr;
         long v = std::strtol(s, &end, 10);
         if (!end || *end != '\0' || v < 1 || v > 1024)
-            fatal("%s: job count '%s' is not in [1, 1024]", origin, s);
+            fatal("--jobs: job count '%s' is not in [1, 1024]", s);
         return static_cast<unsigned>(v);
-    };
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--jobs") {
-            if (i + 1 >= argc)
-                fatal("--jobs requires an argument");
-            return parse(argv[i + 1], "--jobs");
-        }
-    }
-    if (const char *env = std::getenv("HASTM_BENCH_JOBS")) {
-        if (*env)
-            return parse(env, "HASTM_BENCH_JOBS");
     }
     return 1;
 }
@@ -49,11 +43,6 @@ ExperimentRunner::sequentialJobsOk(int argc, char **argv,
 {
     HASTM_ASSERT(message != nullptr);
     message->clear();
-    auto parse = [](const std::string &s, long &v) {
-        char *end = nullptr;
-        v = std::strtol(s.c_str(), &end, 10);
-        return end && *end == '\0' && v >= 1 && v <= 1024;
-    };
     for (int i = 1; i < argc; ++i) {
         if (std::string(argv[i]) != "--jobs")
             continue;
@@ -62,8 +51,9 @@ ExperimentRunner::sequentialJobsOk(int argc, char **argv,
             return false;
         }
         std::string arg = argv[i + 1];
-        long v = 0;
-        if (!parse(arg, v)) {
+        char *end = nullptr;
+        long v = std::strtol(arg.c_str(), &end, 10);
+        if (!end || *end != '\0' || v < 1 || v > 1024) {
             *message =
                 "--jobs: job count '" + arg + "' is not in [1, 1024]";
             return false;
@@ -76,14 +66,6 @@ ExperimentRunner::sequentialJobsOk(int argc, char **argv,
             return false;
         }
         return true;
-    }
-    if (const char *env = std::getenv("HASTM_BENCH_JOBS")) {
-        std::string s(env);
-        long v = 0;
-        if (!s.empty() && parse(s, v) && v != 1)
-            *message = "HASTM_BENCH_JOBS=" + s +
-                       " ignored: this bench's host timing loops run "
-                       "sequentially";
     }
     return true;
 }

@@ -23,8 +23,8 @@
  *  - StmConfig::tracePath opens a per-session output file; jobs that
  *    set it must use distinct paths.
  *
- * Job count comes from `--jobs N` on the bench command line, else
- * $HASTM_BENCH_JOBS, else 1. With one job the runner degrades to a
+ * Job count comes from `--jobs N` on the bench command line, else 1.
+ * With one job the runner degrades to a
  * plain inline loop on the calling thread — no pool, no handoff.
  */
 
@@ -52,35 +52,28 @@ class ExperimentRunner
     /** Run with an explicit worker count (>= 1). */
     explicit ExperimentRunner(unsigned jobs);
 
-    /** Run with the count resolved from argv / the environment. */
+    /** Run with the count resolved from argv. */
     ExperimentRunner(int argc, char **argv);
 
     ExperimentRunner(const ExperimentRunner &) = delete;
     ExperimentRunner &operator=(const ExperimentRunner &) = delete;
 
     /**
-     * Parse `--jobs N` from @p argv, falling back to
-     * $HASTM_BENCH_JOBS, falling back to 1. Exposed so drivers that
-     * cannot hand their argv to the runner (e.g. micro_primitives,
-     * which must strip the flag before benchmark::Initialize) can
-     * resolve the count themselves.
+     * Parse `--jobs N` from @p argv, falling back to 1. Exposed so
+     * drivers that cannot hand their argv to the runner (e.g.
+     * micro_primitives, which must strip the flag before
+     * benchmark::Initialize) can resolve the count themselves.
      */
     static unsigned resolveJobs(int argc, char **argv);
 
     /**
      * Job policy for benches that must run sequentially (the
      * google-benchmark drivers: their host timing loops contend if
-     * anything else runs on the machine). Reads the same sources as
-     * resolveJobs() but never spawns workers:
-     *
-     *  - explicit `--jobs N` with N != 1 (or an unparsable count) is
-     *    an error: *message gets the reason, the call returns false,
-     *    and the driver should exit non-zero;
-     *  - `--jobs 1` and no flag at all are fine (empty *message);
-     *  - a parallel count coming only from $HASTM_BENCH_JOBS is
-     *    tolerated — sweep drivers export it process-wide — but
-     *    downgraded to a warning in *message; the bench still runs
-     *    sequentially and the call returns true.
+     * anything else runs on the machine). Reads the same flag as
+     * resolveJobs() but never spawns workers: `--jobs 1` and no flag
+     * at all are fine (true, empty *message); `--jobs N` with N != 1,
+     * or an unparsable or missing count, is an error (false, the
+     * reason in *message), and the driver should exit non-zero.
      */
     static bool sequentialJobsOk(int argc, char **argv,
                                  std::string *message);

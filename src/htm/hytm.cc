@@ -302,13 +302,7 @@ HytmThread::maybeEscalate(unsigned consec_aborts)
 {
     if (irrevocable_)
         return;
-    const StmConfig &cfg = g_.cfg();
-    bool starved =
-        (cfg.watchdogConsecAborts != 0 &&
-         consec_aborts >= cfg.watchdogConsecAborts) ||
-        (cfg.watchdogRetriesPerCommit != 0 &&
-         abortsSinceCommit_ >= cfg.watchdogRetriesPerCommit);
-    if (!starved)
+    if (!g_.cfg().watchdog.starved(consec_aborts, abortsSinceCommit_))
         return;
     g_.gate().enter(core_);
     irrevocable_ = true;

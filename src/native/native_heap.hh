@@ -60,13 +60,6 @@ class NativeHeap : public LogMem
         word(a).store(v, mo);
     }
 
-    /** The atomic slot backing address @p a (record-in-header mode). */
-    std::atomic<std::uint64_t> &
-    word(Addr a) const
-    {
-        return words_[a >> 3];
-    }
-
     // ---- allocation ----
 
     /** Allocate @p size bytes aligned to @p align; panics when full. */
@@ -93,6 +86,13 @@ class NativeHeap : public LogMem
     void chargeIlp(unsigned) override {}
 
   private:
+    /** The atomic slot backing address @p a. */
+    std::atomic<std::uint64_t> &
+    word(Addr a) const
+    {
+        return words_[a >> 3];
+    }
+
     void insertFree(Addr addr, std::size_t len);
 
     std::size_t bytes_;

@@ -7,7 +7,7 @@
 namespace hastm {
 
 NativeSession::NativeSession(const NativeSessionConfig &cfg)
-    : rt_(cfg.stm, cfg.heapBytes, cfg.fault, cfg.numThreads)
+    : rt_(cfg.watchdog, cfg.heapBytes, cfg.fault, cfg.numThreads)
 {
     HASTM_ASSERT(cfg.numThreads >= 1);
     threads_.reserve(cfg.numThreads);

@@ -20,7 +20,9 @@ namespace hastm {
 struct NativeSessionConfig
 {
     unsigned numThreads = 1;
-    StmConfig stm;
+    /** Starvation bounds before a thread escalates into
+     *  serial-irrevocable mode. */
+    Watchdog watchdog;
     std::size_t heapBytes = 64ull << 20;
     /** Deterministic fault injection (torture harness; off by
      *  default). Per-thread streams are sized from numThreads. */

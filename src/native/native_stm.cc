@@ -113,24 +113,13 @@ NativeGate::stallPanic(const char *what) const
           inflightLocked(), waiters_);
 }
 
-// ------------------------------------------------ NativeRecordTable
-
-NativeRecordTable::NativeRecordTable(unsigned log2_records, bool hash_mix)
-    : slots_(std::size_t(1) << log2_records)
-{
-    hdr_.mask = txrec::maskFor(log2_records);
-    hdr_.hashMix = hash_mix;
-}
-
 // ---------------------------------------------------- NativeRuntime
 
-NativeRuntime::NativeRuntime(const StmConfig &cfg, std::size_t heap_bytes,
+NativeRuntime::NativeRuntime(const Watchdog &watchdog,
+                             std::size_t heap_bytes,
                              const NativeFaultParams &fault,
                              unsigned num_threads)
-    : cfg_(cfg), heap_(heap_bytes),
-      records_(cfg.recShardLog2Records != 0 ? cfg.recShardLog2Records
-                                            : txrec::kDefaultLog2Records,
-               cfg.recHashMix)
+    : watchdog_(watchdog), heap_(heap_bytes)
 {
     if (fault.enabled)
         fault_ = std::make_unique<NativeFaultInjector>(fault, num_threads);
@@ -274,7 +263,7 @@ NativeThread::invariantReport() const
     // version means a release wrote a forged value (and "time <=
     // snapshot proves stability" would be unsound).
     const NativeRecordTable &tab = rt_.records();
-    for (std::size_t i = 0; i < tab.numRecords(); ++i) {
+    for (std::size_t i = 0; i < NativeRecordTable::kNumRecords; ++i) {
         std::uint64_t v = tab.slotValue(i);
         if (txrec::isVersion(v) && nativeclock::timeOf(v) > now) {
             bad("record " + std::to_string(i) + " version time " +
@@ -522,13 +511,7 @@ NativeThread::maybeEscalate(unsigned consec_aborts)
 {
     if (irrevocable_)
         return;
-    const StmConfig &cfg = rt_.cfg();
-    bool starving =
-        (cfg.watchdogConsecAborts != 0 &&
-         consec_aborts >= cfg.watchdogConsecAborts) ||
-        (cfg.watchdogRetriesPerCommit != 0 &&
-         abortsSinceCommit_ >= cfg.watchdogRetriesPerCommit);
-    if (!starving)
+    if (!rt_.watchdog().starved(consec_aborts, abortsSinceCommit_))
         return;
     faultHook(NativeFaultPoint::GateEnter);
     rt_.gate().enter(this);
@@ -619,11 +602,11 @@ NativeThread::nestedAtomic(const std::function<void()> &fn)
 // ---- barriers ----
 
 std::uint64_t
-NativeThread::readShared(Addr obj, Addr data)
+NativeThread::readWord(Addr data)
 {
     HASTM_ASSERT(inTx());
     ++stats_.rdBarriers;
-    NRec rec = &rt_.recordFor(obj, data);
+    NRec rec = &rt_.records().recordFor(data);
     for (;;) {
         std::uint64_t v = rec->load(std::memory_order_acquire);
         if (v == token_)
@@ -660,12 +643,11 @@ NativeThread::readShared(Addr obj, Addr data)
 }
 
 void
-NativeThread::writeShared(Addr obj, Addr data, std::uint64_t v,
-                          bool is_ptr)
+NativeThread::writeWord(Addr data, std::uint64_t v, bool is_ptr)
 {
     HASTM_ASSERT(inTx());
     ++stats_.wrBarriers;
-    NRec rec = &rt_.recordFor(obj, data);
+    NRec rec = &rt_.records().recordFor(data);
     acquire(rec);
     undoAppend(data, is_ptr);
     rt_.heap().storeWord(data, v);
@@ -917,28 +899,16 @@ NativeThread::partialRollback(const NativeSavepoint &sp)
 // ---- data interface ----
 
 std::uint64_t
-NativeThread::readWord(Addr a)
-{
-    return readShared(kNullAddr, a);
-}
-
-void
-NativeThread::writeWord(Addr a, std::uint64_t v, bool is_ptr)
-{
-    writeShared(kNullAddr, a, v, is_ptr);
-}
-
-std::uint64_t
 NativeThread::readField(Addr obj, unsigned off)
 {
-    return readShared(obj, obj + kObjHeaderBytes + off);
+    return readWord(obj + kObjHeaderBytes + off);
 }
 
 void
 NativeThread::writeField(Addr obj, unsigned off, std::uint64_t v,
                          bool is_ptr)
 {
-    writeShared(obj, obj + kObjHeaderBytes + off, v, is_ptr);
+    writeWord(obj + kObjHeaderBytes + off, v, is_ptr);
 }
 
 Addr
@@ -955,7 +925,6 @@ NativeThread::txAlloc(std::size_t field_bytes, std::uint32_t ptr_mask)
         obj = rt_.heap().alloc(total, 16);
     for (Addr p = obj; p < obj + total; p += 8)
         rt_.heap().storeWord(p, 0);
-    rt_.heap().storeWord(obj + kTxRecOff, txrec::kInitialVersion);
     rt_.heap().storeWord(obj + kGcMetaOff,
                          objmeta::make(field_bytes, ptr_mask));
     if (inTx())

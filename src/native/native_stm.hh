@@ -6,9 +6,9 @@
  * models (§4), re-expressed over std::atomic and std::thread:
  *
  *  - transaction records are versioned locks with the simulator's
- *    encoding (odd = version, even = owner token) and the simulator's
- *    table geometry (txrec::lineRecOffset / wordRecOffset over the
- *    StmConfig shard mask), one cache line per record;
+ *    encoding (odd = version, even = owner token) in the paper's
+ *    fixed table: 4096 records, one cache line each, the record of a
+ *    datum found by one mask (data & txrec::kTableMask, §4);
  *  - the read set, write set, and undo log are TxLog instances over
  *    the NativeHeap LogMem, so the append/rollback discipline is the
  *    code path the simulator times;
@@ -93,7 +93,6 @@
 #include "native/native_fault.hh"
 #include "native/native_heap.hh"
 #include "sim/logging.hh"
-#include "stm/stm.hh"
 #include "stm/tm_iface.hh"
 #include "stm/tx_log.hh"
 #include "stm/tx_record.hh"
@@ -313,30 +312,27 @@ class NativeGate
 };
 
 /**
- * Host-atomic transaction-record table with the simulated table's
- * geometry: 2^log2Records records, one per 64-byte span of the
- * (single-shard) mask, all initialised shared at version 1.
+ * Host-atomic transaction-record table, the paper's cache-line table
+ * (§4): rec = TxRecTableBase + (addr & 0x3ffc0), so 4096 records one
+ * line apart, all initialised shared at version 1. Addresses one
+ * table span (256 KiB) apart share a record; the 8 words of a line
+ * always do.
+ *
+ * Aligned to a cache line: the slot pointer is read on every barrier
+ * by every thread, so nothing another thread writes may share its
+ * line.
  */
-class NativeRecordTable
+class alignas(64) NativeRecordTable
 {
   public:
-    explicit NativeRecordTable(unsigned log2_records, bool hash_mix);
+    static constexpr std::size_t kNumRecords =
+        txrec::kTableBytes >> txrec::kLineLog2;
 
     std::atomic<std::uint64_t> &
     recordFor(Addr data)
     {
-        return slots_[txrec::lineRecOffset(data, hdr_.mask, hdr_.hashMix) >>
-                      txrec::kLineLog2].v;
+        return slots_[(data & txrec::kTableMask) >> txrec::kLineLog2].v;
     }
-
-    std::atomic<std::uint64_t> &
-    recordForWord(Addr data)
-    {
-        return slots_[txrec::wordRecOffset(data, hdr_.mask) >>
-                      txrec::kLineLog2].v;
-    }
-
-    std::size_t numRecords() const { return slots_.size(); }
 
     /** Raw slot value (torture-harness invariant scan; quiescent or
      *  owner-stepped use only — the load is relaxed). */
@@ -353,19 +349,7 @@ class NativeRecordTable
         std::atomic<std::uint64_t> v{txrec::kInitialVersion};
     };
 
-    std::vector<Slot> slots_;
-
-    /**
-     * Table header, isolated on its own cache line: the mask and mix
-     * flag are read on every barrier by every thread, and must never
-     * share a line with anything another thread writes.
-     */
-    struct alignas(64) Header
-    {
-        Addr mask;
-        bool hashMix;
-    };
-    Header hdr_;
+    std::vector<Slot> slots_ = std::vector<Slot>(kNumRecords);
 };
 
 /** Shared state of one native TM session. */
@@ -373,11 +357,13 @@ class NativeRuntime
 {
   public:
     /**
-     * @p fault enables deterministic fault injection for the session
-     * (default: none); @p num_threads sizes its per-thread streams
-     * and must cover every NativeThread id the session will create.
+     * @p watchdog bounds starvation before a thread escalates into
+     * serial-irrevocable mode; @p fault enables deterministic fault
+     * injection for the session (default: none); @p num_threads sizes
+     * its per-thread streams and must cover every NativeThread id the
+     * session will create.
      */
-    NativeRuntime(const StmConfig &cfg, std::size_t heap_bytes,
+    NativeRuntime(const Watchdog &watchdog, std::size_t heap_bytes,
                   const NativeFaultParams &fault = {},
                   unsigned num_threads = 1);
     ~NativeRuntime();
@@ -385,24 +371,10 @@ class NativeRuntime
     NativeHeap &heap() { return heap_; }
     NativeRecordTable &records() { return records_; }
     NativeGate &gate() { return gate_; }
-    const StmConfig &cfg() const { return cfg_; }
+    const Watchdog &watchdog() const { return watchdog_; }
 
     /** The session's fault injector, or null when injection is off. */
     NativeFaultInjector *fault() { return fault_.get(); }
-
-    /** Record for datum @p data belonging to object @p obj. */
-    std::atomic<std::uint64_t> &
-    recordFor(Addr obj, Addr data)
-    {
-        switch (cfg_.gran) {
-          case Granularity::Object:
-            return heap_.word(obj + kTxRecOff);
-          case Granularity::Word:
-            return records_.recordForWord(data);
-          default:
-            return records_.recordFor(data);
-        }
-    }
 
     /**
      * Current commit time (snapshot sample). seq_cst, not plain
@@ -475,7 +447,7 @@ class NativeRuntime
             clockExhausted();
     }
 
-    StmConfig cfg_;
+    Watchdog watchdog_;
     NativeHeap heap_;
     NativeRecordTable records_;
     NativeGate gate_;
@@ -519,7 +491,7 @@ class NativeRuntime
  * accumulation never false-shares; totals are only merged on demand
  * in NativeSession::totalStats().
  */
-class alignas(64) NativeThread : public TmExec
+class alignas(64) NativeThread final : public TmExec
 {
   public:
     NativeThread(NativeRuntime &rt, unsigned id);
@@ -584,9 +556,6 @@ class alignas(64) NativeThread : public TmExec
          *  conservative: it can only force extra extensions). */
         std::uint64_t snapshot = 0;
     };
-
-    std::uint64_t readShared(Addr obj, Addr data);
-    void writeShared(Addr obj, Addr data, std::uint64_t v, bool is_ptr);
 
     /** Acquire @p rec or throw; returns once this thread owns it. */
     void acquire(NRec rec);

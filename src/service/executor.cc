@@ -64,10 +64,10 @@ measureOp(TmExec &t, const DsOps &ops, const ServiceRequest &req)
 
 // ---- NativeRequestExecutor ----
 
-NativeRequestExecutor::NativeRequestExecutor(const StmConfig &stm,
+NativeRequestExecutor::NativeRequestExecutor(const Watchdog &watchdog,
                                              bool sim_replay,
                                              const NativeFaultParams &fault)
-    : stm_(stm), simReplay_(sim_replay), fault_(fault)
+    : watchdog_(watchdog), simReplay_(sim_replay), fault_(fault)
 {
 }
 
@@ -81,7 +81,7 @@ NativeRequestExecutor::populate(const ExecutorWorkload &w, unsigned workers)
     pool_.reset();
     NativeSessionConfig nc;
     nc.numThreads = std::max(1u, workers);
-    nc.stm = stm_;
+    nc.watchdog = watchdog_;
     nc.fault = fault_;
     backend_ = std::make_unique<NativeBackend>(nc);
     workload_ = w;

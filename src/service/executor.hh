@@ -149,13 +149,14 @@ class NativeRequestExecutor : public RequestExecutor
 {
   public:
     /**
+     * @param watchdog  the sessions' starvation bounds.
      * @param sim_replay  also cross-validate the recorded op log
      *        through the sequential simulated backend in
      *        poolOutcome(). Disable under TSan (fibers cannot be
      *        instrumented) — the in-process replay oracle still runs.
      * @param fault  native fault-injection campaign (off by default).
      */
-    explicit NativeRequestExecutor(const StmConfig &stm,
+    explicit NativeRequestExecutor(const Watchdog &watchdog = {},
                                    bool sim_replay = true,
                                    const NativeFaultParams &fault = {});
     ~NativeRequestExecutor() override;
@@ -174,7 +175,7 @@ class NativeRequestExecutor : public RequestExecutor
     ExecOutcome runOne(unsigned worker, const ServiceRequest &req);
     void quiesce();
 
-    const StmConfig stm_;
+    const Watchdog watchdog_;
     const bool simReplay_;
     const NativeFaultParams fault_;
     std::unique_ptr<NativeBackend> backend_;

@@ -76,7 +76,6 @@ class ServiceRun
     void closeWindow();
     void closeSegment(std::uint64_t end_ns);
     void dispatchFree(std::uint64_t now);
-    std::uint64_t serviceNsFor(const ExecOutcome &o) const;
 
     const ServiceConfig &cfg_;
     RequestExecutor &exec_;
@@ -116,16 +115,6 @@ class ServiceRun
     bool segBurst_ = false;
     std::uint64_t segOffered_ = 0, segCompleted_ = 0, segShed_ = 0;
 };
-
-std::uint64_t
-ServiceRun::serviceNsFor(const ExecOutcome &o) const
-{
-    std::uint64_t ns = cfg_.baseServiceNs +
-                       cfg_.perBarrierNs * o.barriers +
-                       cfg_.perAbortNs * o.aborts +
-                       cfg_.perIrrevocNs * o.irrevocable;
-    return std::max<std::uint64_t>(ns, 1);
-}
 
 void
 ServiceRun::closeWindow()
@@ -228,7 +217,7 @@ ServiceRun::dispatchFree(std::uint64_t now)
         tm.serialDispatch += o.serialDispatch;
         busy_[free] = true;
         completions_.push(
-            {now + serviceNsFor(o), free, q.req.arrivalNs, now});
+            {now + serviceNsFor(cfg_, o), free, q.req.arrivalNs, now});
     }
 }
 
@@ -341,6 +330,15 @@ ServiceRun::run()
 }
 
 } // namespace
+
+std::uint64_t
+serviceNsFor(const ServiceConfig &cfg, const ExecOutcome &o)
+{
+    std::uint64_t ns = cfg.baseServiceNs + cfg.perBarrierNs * o.barriers +
+                       cfg.perAbortNs * o.aborts +
+                       cfg.perIrrevocNs * o.irrevocable;
+    return std::max<std::uint64_t>(ns, 1);
+}
 
 ServiceResult
 runService(const ServiceConfig &cfg, RequestExecutor &exec)

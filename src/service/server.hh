@@ -147,6 +147,13 @@ struct ServiceResult
     std::uint64_t fingerprint() const;
 };
 
+/**
+ * The deterministic service-time model (see the file comment): the
+ * virtual nanoseconds a request whose execution measured @p o holds a
+ * worker, at least 1.
+ */
+std::uint64_t serviceNsFor(const ServiceConfig &cfg, const ExecOutcome &o);
+
 Json toJson(const ServiceConfig &cfg);
 Json toJson(const ServiceResult &r);
 

@@ -575,13 +575,7 @@ StmThread::maybeEscalate(unsigned consec_aborts)
 {
     if (irrevocable_)
         return;
-    const StmConfig &cfg = g_.cfg();
-    bool starved =
-        (cfg.watchdogConsecAborts != 0 &&
-         consec_aborts >= cfg.watchdogConsecAborts) ||
-        (cfg.watchdogRetriesPerCommit != 0 &&
-         abortsSinceCommit_ >= cfg.watchdogRetriesPerCommit);
-    if (!starved)
+    if (!g_.cfg().watchdog.starved(consec_aborts, abortsSinceCommit_))
         return;
     // Runs outside a transaction (atomic() calls this after the
     // rollback), so our own activity flag is already clear and the

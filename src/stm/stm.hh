@@ -31,13 +31,15 @@
 
 namespace hastm {
 
-/** Runtime-wide STM configuration. */
+/**
+ * Runtime-wide configuration of the simulated STM and the schemes
+ * built on it (HASTM, HyTM, adaptive). The native STM does not read
+ * it: its sessions carry only a Watchdog (native/native_session.hh).
+ */
 struct StmConfig
 {
     Granularity gran = Granularity::CacheLine;
-    /** Barriers per periodic read-set validation (simulator STM
-     *  only; the native snapshot clock never revalidates
-     *  periodically). */
+    /** Barriers per periodic read-set validation. */
     unsigned validateEvery = 64;
     CmParams cm;
     bool clearMarksAtEnd = true;     //!< §7: no inter-atomic reuse
@@ -50,14 +52,8 @@ struct StmConfig
      * per-word GC metadata).
      */
     bool filterWrites = false;
-    /**
-     * Starvation watchdog (graceful degradation): escalate into
-     * serial-irrevocable mode after this many consecutive aborts of
-     * one atomic block (0 disables). See stm/irrevocable.hh.
-     */
-    unsigned watchdogConsecAborts = 64;
-    /** Same, for total aborts since the last successful commit. */
-    unsigned watchdogRetriesPerCommit = 256;
+    /** Starvation watchdog (see stm/irrevocable.hh). */
+    Watchdog watchdog;
     /**
      * TEST-ONLY: skip commit-time validation, making the STM
      * deliberately unsound so the adversarial oracle can prove it
@@ -87,7 +83,6 @@ struct StmConfig
      * here in Chrome trace_event JSON on teardown (load the file in
      * about://tracing or ui.perfetto.dev). Host-side only: tracing
      * charges no simulated cycles and does not perturb results.
-     * Simulator only; the native STM emits no trace.
      */
     std::string tracePath;
 };

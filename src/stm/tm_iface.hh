@@ -11,7 +11,8 @@
  * followed by 8-byte fields); readField/writeField resolve the datum's
  * transaction record per the configured conflict-detection
  * granularity (§4): the header record in object mode, the global
- * hashed table in cache-line mode.
+ * hashed table in cache-line mode. The native STM always uses the
+ * cache-line table.
  */
 
 #ifndef HASTM_STM_TM_IFACE_HH
@@ -314,6 +315,30 @@ constexpr std::uint32_t kPhaseShift = 8;
 } // namespace txsite
 
 /**
+ * Starvation watchdog thresholds (graceful degradation): a scheme
+ * with a serial-irrevocable mode escalates into it once an atomic
+ * block is starved by either bound (stm/irrevocable.hh). The
+ * simulated STM and HyTM read it from StmConfig, the native STM from
+ * its session config.
+ */
+struct Watchdog
+{
+    /** Consecutive aborts of one atomic block (0 disables). */
+    unsigned consecAborts = 64;
+    /** Conflict aborts since the last successful commit (0 disables). */
+    unsigned retriesPerCommit = 256;
+
+    /** True when @p consec consecutive aborts, or @p since_commit
+     *  aborts since the last commit, reach their bound. */
+    bool
+    starved(unsigned consec, unsigned since_commit) const
+    {
+        return (consecAborts != 0 && consec >= consecAborts) ||
+               (retriesPerCommit != 0 && since_commit >= retriesPerCommit);
+    }
+};
+
+/**
  * One thread's view of the TM runtime, independent of the execution
  * substrate. TmExec owns the retry/commit driver (atomic(),
  * atomicOrElse()) and the scheme hooks it calls; it never touches a
@@ -462,8 +487,9 @@ class TmExec
      * Starvation watchdog hook: called after every conflict abort
      * with the consecutive-abort count of the current atomic block.
      * Schemes supporting serial-irrevocable mode escalate here when
-     * the StmConfig thresholds are exceeded; the next begin() then
-     * runs the transaction alone (see stm/irrevocable.hh).
+     * Watchdog::starved() holds for their thresholds; the next
+     * begin() then runs the transaction alone (see
+     * stm/irrevocable.hh).
      */
     virtual void maybeEscalate(unsigned consec_aborts)
     {

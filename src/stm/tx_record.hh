@@ -112,9 +112,9 @@ unsigned log2ForRecords(std::size_t records);
 
 /**
  * Byte offset of the record covering line-granularity datum @p data
- * within a table of geometry (@p mask, @p hash_mix). Pure address
- * arithmetic shared by the simulated TxRecordTable and the native
- * backend's host-atomic table, so a datum maps to the same record
+ * within a table of geometry (@p mask, @p hash_mix). At the paper's
+ * geometry (kTableMask, no mix) this is data & kTableMask, the
+ * native backend's fixed mapping, so a datum maps to the same record
  * slot on both substrates.
  */
 inline Addr

@@ -48,8 +48,8 @@ stressCfg(TmScheme scheme, const std::string &profile, std::uint64_t seed)
     cfg.machine.arenaBytes = 16ull * 1024 * 1024;
     cfg.machine.fault = faultProfile(profile);
     cfg.machine.fault.seed = seed;
-    cfg.stm.watchdogConsecAborts = 4;
-    cfg.stm.watchdogRetriesPerCommit = 16;
+    cfg.stm.watchdog.consecAborts = 4;
+    cfg.stm.watchdog.retriesPerCommit = 16;
     return cfg;
 }
 
@@ -301,8 +301,8 @@ TEST(FaultCampaign, WatchdogEscalatesSomewhereAndStaysCorrect)
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
         for (TmScheme scheme : {TmScheme::Stm, TmScheme::Hytm}) {
             ExperimentConfig cfg = stressCfg(scheme, "heavy", seed);
-            cfg.stm.watchdogConsecAborts = 2;
-            cfg.stm.watchdogRetriesPerCommit = 4;
+            cfg.stm.watchdog.consecAborts = 2;
+            cfg.stm.watchdog.retriesPerCommit = 4;
             ExperimentResult r = runDataStructure(cfg);
             ASSERT_TRUE(r.oracleOk)
                 << tmSchemeName(scheme) << ": " << r.oracleDiag;
@@ -322,8 +322,8 @@ TEST(FaultCampaign, AdaptiveReleasesTheGateOnEveryAbortPath)
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
         ExperimentConfig cfg = stressCfg(TmScheme::Adaptive, "heavy",
                                          seed);
-        cfg.stm.watchdogConsecAborts = 2;
-        cfg.stm.watchdogRetriesPerCommit = 4;
+        cfg.stm.watchdog.consecAborts = 2;
+        cfg.stm.watchdog.retriesPerCommit = 4;
         ExperimentResult r = runDataStructure(cfg);
         EXPECT_TRUE(r.oracleChecked);
         EXPECT_TRUE(r.oracleOk) << "seed " << seed << ": "

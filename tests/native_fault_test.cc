@@ -373,8 +373,8 @@ cellCfg(const std::string &profile, std::uint64_t seed, unsigned threads)
     cfg.keyRange = 256;
     cfg.hashBuckets = 64;
     cfg.heapBytes = 32ull << 20;
-    cfg.stm.watchdogConsecAborts = 8;
-    cfg.stm.watchdogRetriesPerCommit = 32;
+    cfg.watchdog.consecAborts = 8;
+    cfg.watchdog.retriesPerCommit = 32;
     cfg.recordOps = true;
     cfg.fault = nativeFaultProfile(profile);
     cfg.fault.seed = seed;

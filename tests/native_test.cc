@@ -3,8 +3,8 @@
  * Native (host-thread) backend tests.
  *
  * The same conformance bodies the simulated schemes pass
- * (tests/conformance_suite.hh) run over NativeBackend at every
- * granularity, plus native-specific machinery: empty-undo-log and partial-write
+ * (tests/conformance_suite.hh) run over NativeBackend, plus the
+ * record mapping and native-specific machinery: empty-undo-log and partial-write
  * rollback through TxLog::beginPos, the host serial gate, scaling of
  * the session runner, and the cross-backend replay — a recorded
  * native op log replayed through the simulator must agree op-for-op
@@ -21,6 +21,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <thread>
 
 #include <sys/resource.h>
@@ -37,11 +38,10 @@ namespace hastm {
 namespace {
 
 NativeSessionConfig
-nativeCfg(unsigned threads, Granularity gran = Granularity::CacheLine)
+nativeCfg(unsigned threads)
 {
     NativeSessionConfig c;
     c.numThreads = threads;
-    c.stm.gran = gran;
     c.heapBytes = 16ull << 20;
     return c;
 }
@@ -54,51 +54,45 @@ class NativeConformance : public ::testing::TestWithParam<Granularity>
 
 TEST_P(NativeConformance, CommittedWritesPersist)
 {
-    NativeBackend b(nativeCfg(1, GetParam()));
+    NativeBackend b(nativeCfg(1));
     conform::committedWritesPersist(b);
 }
 
 TEST_P(NativeConformance, ReadYourOwnWrites)
 {
-    NativeBackend b(nativeCfg(1, GetParam()));
+    NativeBackend b(nativeCfg(1));
     conform::readYourOwnWrites(b);
 }
 
 TEST_P(NativeConformance, UserAbortRollsBackAndExits)
 {
-    NativeBackend b(nativeCfg(1, GetParam()));
+    NativeBackend b(nativeCfg(1));
     conform::userAbortRollsBackAndExits(b);
 }
 
 TEST_P(NativeConformance, CounterIncrementsAreAtomic)
 {
-    NativeBackend b(nativeCfg(2, GetParam()));
+    NativeBackend b(nativeCfg(2));
     conform::counterIncrementsAreAtomic(b);
 }
 
 TEST_P(NativeConformance, DisjointWritesBothSurvive)
 {
-    NativeBackend b(nativeCfg(2, GetParam()));
+    NativeBackend b(nativeCfg(2));
     conform::disjointWritesBothSurvive(b);
 }
 
 TEST_P(NativeConformance, MoneyConservedUnderTransfers)
 {
-    NativeBackend b(nativeCfg(2, GetParam()));
+    NativeBackend b(nativeCfg(2));
     conform::moneyConservedUnderTransfers(b);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Stm, NativeConformance,
-    ::testing::Values(Granularity::CacheLine, Granularity::Object,
-                      Granularity::Word),
-    [](const ::testing::TestParamInfo<Granularity> &info) {
-        switch (info.param) {
-          case Granularity::Object: return "obj";
-          case Granularity::Word:   return "word";
-          default:                  return "line";
-        }
-    });
+// The native STM has one record mapping, the paper's cache-line table
+// (§4), so each parameterized native suite runs the one instance.
+INSTANTIATE_TEST_SUITE_P(Stm, NativeConformance,
+                         ::testing::Values(Granularity::CacheLine),
+                         [](const auto &) { return "line"; });
 
 // ------------------------------------------------------- native heap
 
@@ -114,6 +108,31 @@ peakRssKib()
 }
 
 } // namespace
+
+// --------------------------------------------------- record mapping
+
+TEST(NativeRecordTable, PaperMaskSharesWordsOfALineAndAliasesEveryTableSpan)
+{
+    // The paper's table: rec = base + (addr & 0x3ffc0).
+    NativeRecordTable tab;
+    ASSERT_EQ(NativeRecordTable::kNumRecords, 4096u);
+    const Addr line = 0x12340;
+    auto *rec = &tab.recordFor(line);
+    // The 8 words of one line share its record...
+    for (Addr off = 8; off < 64; off += 8)
+        EXPECT_EQ(&tab.recordFor(line + off), rec) << "word " << off / 8;
+    // ...adjacent lines do not...
+    EXPECT_NE(&tab.recordFor(line + 64), rec);
+    EXPECT_NE(&tab.recordFor(line - 64), rec);
+    // ...and addresses 256 KiB apart do.
+    EXPECT_EQ(&tab.recordFor(line + 256 * 1024), rec);
+    EXPECT_EQ(&tab.recordFor(line + 3 * 256 * 1024 + 24), rec);
+    // One table span covers every record exactly once.
+    std::set<const void *> seen;
+    for (Addr a = 0; a < 256 * 1024; a += 64)
+        seen.insert(&tab.recordFor(a));
+    EXPECT_EQ(seen.size(), NativeRecordTable::kNumRecords);
+}
 
 TEST(NativeHeap, CapacityIsNotResidentUntilTouched)
 {
@@ -267,7 +286,7 @@ TEST(NativeRollback, PartialAbortReversionsNestedAcquiredRecordsForward)
     b.run({[&](TmExec &) {
         Addr obj = t.txAlloc(32);
         t.atomic([&] { t.writeField(obj, 0, 7); });
-        auto &rec = rt.recordFor(obj, obj + kObjHeaderBytes);
+        auto &rec = rt.records().recordFor(obj + kObjHeaderBytes);
         std::uint64_t before = rec.load();
         ASSERT_TRUE(txrec::isVersion(before));
         t.atomic([&] {
@@ -357,8 +376,8 @@ TEST(NativeGate, StarvingWriterEscalatesRunsAloneAndCommits)
     // watchdog the very next attempt escalates, quiesces behind
     // thread 0, and commits serially.
     NativeSessionConfig cfg = nativeCfg(2);
-    cfg.stm.watchdogConsecAborts = 1;
-    cfg.stm.watchdogRetriesPerCommit = 2;
+    cfg.watchdog.consecAborts = 1;
+    cfg.watchdog.retriesPerCommit = 2;
     NativeBackend b(cfg);
     Addr obj = 0;
     b.run({[&](TmExec &t) { obj = t.txAlloc(16); }});
@@ -396,8 +415,8 @@ TEST(NativeGate, HairTriggerWatchdogStaysAtomicUnderContention)
     // gate leak deadlocks, a quiesce bug loses an increment.
     constexpr unsigned kIncrements = 400;
     NativeSessionConfig cfg = nativeCfg(4);
-    cfg.stm.watchdogConsecAborts = 1;
-    cfg.stm.watchdogRetriesPerCommit = 2;
+    cfg.watchdog.consecAborts = 1;
+    cfg.watchdog.retriesPerCommit = 2;
     NativeBackend b(cfg);
     Addr obj = 0;
     b.run({[&](TmExec &t) { obj = t.txAlloc(16); }});
@@ -564,8 +583,8 @@ TEST(NativeGate, HolderRunsAloneUnderConcurrentArrivals)
 class NativeSnapshot : public ::testing::TestWithParam<Granularity>
 {
   protected:
-    /** Two objects far enough apart that their first data words map
-     *  to distinct transaction records at every granularity. */
+    /** Two objects far enough apart (4 lines) that their first data
+     *  words map to distinct transaction records. */
     static void
     allocPair(TmExec &t, Addr &x, Addr &y)
     {
@@ -580,7 +599,7 @@ class NativeSnapshot : public ::testing::TestWithParam<Granularity>
 
 TEST_P(NativeSnapshot, ExtensionSucceedsWhenReadSetStillValid)
 {
-    NativeBackend b(nativeCfg(2, GetParam()));
+    NativeBackend b(nativeCfg(2));
     b.run({[&](TmExec &t) {
         Addr x = 0, y = 0;
         allocPair(t, x, y);
@@ -603,7 +622,7 @@ TEST_P(NativeSnapshot, ExtensionSucceedsWhenReadSetStillValid)
 
 TEST_P(NativeSnapshot, ExtensionFailsWhenALoggedReadWentStale)
 {
-    NativeBackend b(nativeCfg(2, GetParam()));
+    NativeBackend b(nativeCfg(2));
     b.run({[&](TmExec &t) {
         Addr x = 0, y = 0;
         allocPair(t, x, y);
@@ -640,7 +659,7 @@ TEST_P(NativeSnapshot, WriteToFreshlyCommittedRecordExtendsFirst)
     // newer than the snapshot must extend before taking ownership
     // (the undo log would otherwise capture a value the snapshot
     // cannot see).
-    NativeBackend b(nativeCfg(2, GetParam()));
+    NativeBackend b(nativeCfg(2));
     b.run({[&](TmExec &t) {
         Addr x = 0, y = 0;
         allocPair(t, x, y);
@@ -659,7 +678,7 @@ TEST_P(NativeSnapshot, WriteToFreshlyCommittedRecordExtendsFirst)
 
 TEST_P(NativeSnapshot, PartialAbortRestoresTheSavepointSnapshot)
 {
-    NativeBackend b(nativeCfg(2, GetParam()));
+    NativeBackend b(nativeCfg(2));
     NativeThread &t = b.session().thread(0);
     NativeThread &rival = b.session().thread(1);
     b.run({[&](TmExec &) {
@@ -694,12 +713,12 @@ TEST_P(NativeSnapshot, TxFreedBlockIsNotReusedWhileASnapshotCanReadIt)
     // records — the stale reads would keep passing forever. The limbo
     // list must hold the block (contents intact) until our epoch
     // retires, then release it on the next allocation.
-    NativeBackend b(nativeCfg(2, GetParam()));
+    NativeBackend b(nativeCfg(2));
     NativeThread &t = b.session().thread(0);
     NativeThread &rival = b.session().thread(1);
     b.run({[&](TmExec &) {
         // 256-byte objects so the first data words map to distinct
-        // records at every granularity (same spacing as allocPair).
+        // records (same spacing as allocPair).
         Addr slot = t.txAlloc(256);  // "data structure" holding obj
         Addr obj = t.txAlloc(256);
         t.atomic([&] {
@@ -738,17 +757,9 @@ TEST_P(NativeSnapshot, TxFreedBlockIsNotReusedWhileASnapshotCanReadIt)
     }});
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Stm, NativeSnapshot,
-    ::testing::Values(Granularity::CacheLine, Granularity::Object,
-                      Granularity::Word),
-    [](const ::testing::TestParamInfo<Granularity> &info) {
-        switch (info.param) {
-          case Granularity::Object: return "obj";
-          case Granularity::Word:   return "word";
-          default:                  return "line";
-        }
-    });
+INSTANTIATE_TEST_SUITE_P(Stm, NativeSnapshot,
+                         ::testing::Values(Granularity::CacheLine),
+                         [](const auto &) { return "line"; });
 
 TEST(NativeSnapshotStats, ReadOnlyCommitLeavesTheClockAlone)
 {

@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -59,25 +58,15 @@ TEST(Runner, ResolveJobsParsing)
               3u);
 
     const char *argv2[] = {"bench", "--json", "/tmp/x.json"};
-    ASSERT_EQ(unsetenv("HASTM_BENCH_JOBS"), 0);
     EXPECT_EQ(ExperimentRunner::resolveJobs(3, const_cast<char **>(argv2)),
               1u);
-
-    ASSERT_EQ(setenv("HASTM_BENCH_JOBS", "5", 1), 0);
-    EXPECT_EQ(ExperimentRunner::resolveJobs(3, const_cast<char **>(argv2)),
-              5u);
-    // Command line wins over the environment.
-    EXPECT_EQ(ExperimentRunner::resolveJobs(3, const_cast<char **>(argv1)),
-              3u);
-    ASSERT_EQ(unsetenv("HASTM_BENCH_JOBS"), 0);
 }
 
 TEST(Runner, SequentialJobsPolicy)
 {
-    ASSERT_EQ(unsetenv("HASTM_BENCH_JOBS"), 0);
     std::string msg;
 
-    // No flag, no env: fine and silent.
+    // No flag: fine and silent.
     const char *plain[] = {"bench"};
     EXPECT_TRUE(ExperimentRunner::sequentialJobsOk(
         1, const_cast<char **>(plain), &msg));
@@ -104,18 +93,6 @@ TEST(Runner, SequentialJobsPolicy)
     EXPECT_FALSE(ExperimentRunner::sequentialJobsOk(
         2, const_cast<char **>(missing), &msg));
     EXPECT_FALSE(msg.empty());
-
-    // Parallel env var alone: tolerated with a warning.
-    ASSERT_EQ(setenv("HASTM_BENCH_JOBS", "8", 1), 0);
-    EXPECT_TRUE(ExperimentRunner::sequentialJobsOk(
-        1, const_cast<char **>(plain), &msg));
-    EXPECT_NE(msg.find("HASTM_BENCH_JOBS"), std::string::npos);
-
-    // Explicit --jobs 1 silences the env warning (command line wins).
-    EXPECT_TRUE(ExperimentRunner::sequentialJobsOk(
-        3, const_cast<char **>(one), &msg));
-    EXPECT_TRUE(msg.empty());
-    ASSERT_EQ(unsetenv("HASTM_BENCH_JOBS"), 0);
 }
 
 TEST(Runner, ParallelMatchesSequential)

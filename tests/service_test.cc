@@ -352,7 +352,7 @@ TEST(Service, NativeUnderloadCompletesEverything)
 {
     ServiceConfig cfg = baseServiceCfg();
     cfg.workers = 1;
-    NativeRequestExecutor exec{StmConfig{}};
+    NativeRequestExecutor exec;
     ServiceResult r = runService(cfg, exec);
     EXPECT_GT(r.offered, 200u);
     EXPECT_EQ(r.admitted, r.offered);
@@ -378,7 +378,7 @@ TEST(Service, NativeRerunIsBitIdentical)
     ServiceConfig cfg = baseServiceCfg();
     cfg.arrival.zipfS = 1.1;
     cfg.workers = 1;
-    NativeRequestExecutor e1{StmConfig{}}, e2{StmConfig{}};
+    NativeRequestExecutor e1, e2;
     ServiceResult a = runService(cfg, e1);
     ServiceResult b = runService(cfg, e2);
     EXPECT_EQ(a.fingerprint(), b.fingerprint());
@@ -396,7 +396,7 @@ TEST(Service, NativeOverloadShedsInsteadOfCollapsing)
     // Below the ~1.3ms a full queue takes to drain, so the delay
     // signal, not the queue bound, has to do the shedding.
     cfg.admission.sloP99Ns = 800'000;
-    NativeRequestExecutor exec{StmConfig{}};
+    NativeRequestExecutor exec;
     ServiceResult r = runService(cfg, exec);
     EXPECT_GT(r.shedPolicy + r.droppedFull, 0u);
     EXPECT_LT(r.completed, r.offered);
@@ -421,7 +421,7 @@ TEST(Service, BurstSegmentsAlternateAndAccount)
     cfg.arrival.onNs = 2'000'000;
     cfg.durationNs = 12'000'000;
     cfg.workers = 1;
-    NativeRequestExecutor exec{StmConfig{}};
+    NativeRequestExecutor exec;
     ServiceResult r = runService(cfg, exec);
     // Boundaries at 4, 6, 10 ms -> 4 segments off/on/off/on.
     ASSERT_EQ(r.segments.size(), 4u);
@@ -454,7 +454,7 @@ TEST(Service, ArrivalsDoNotDependOnTheBackend)
     cfg.arrival.onNs = 1'000'000;
     cfg.durationNs = 6'000'000;
     cfg.workers = 1;
-    NativeRequestExecutor native{StmConfig{}};
+    NativeRequestExecutor native;
     SimRequestExecutor sim(TmScheme::Stm, StmConfig{});
     ServiceResult a = runService(cfg, native);
     ServiceResult b = runService(cfg, sim);
@@ -546,7 +546,7 @@ TEST(Service, JsonSerializationIsWellFormed)
     ServiceConfig cfg = baseServiceCfg();
     cfg.durationNs = 2'000'000;
     cfg.workers = 1;
-    NativeRequestExecutor exec{StmConfig{}};
+    NativeRequestExecutor exec;
     ServiceResult r = runService(cfg, exec);
     Json jc = toJson(cfg);
     Json jr = toJson(r);
@@ -586,13 +586,13 @@ TEST(Service, NativeGateOverloadEscalatesAndRecovers)
     cfg.arrival.offNs = 8'000'000;
     cfg.arrival.onNs = 4'000'000;
     cfg.durationNs = 20'000'000;  // off [0,8), on [8,12), off [12,20]
-    StmConfig stm;
+    Watchdog watchdog;
     // Hair-trigger watchdog: the first lost race escalates. A second
     // consecutive loss is up to the host scheduler — a retry after
     // backoff usually runs alone on a loaded host — so a threshold
     // of 2 left some loaded runs with aborts but no escalation.
-    stm.watchdogConsecAborts = 1;
-    NativeRequestExecutor exec{stm, /*sim_replay=*/true,
+    watchdog.consecAborts = 1;
+    NativeRequestExecutor exec{watchdog, /*sim_replay=*/true,
                                nativeFaultProfile("starve")};
     ServiceResult r = runService(cfg, exec);
     ASSERT_EQ(r.segments.size(), 3u);
@@ -651,7 +651,7 @@ TEST(Service, SimStmOverloadEscalatesIntoSerialAndRecovers)
     cfg.workload.keyRange = 2;
     cfg.arrival.keyRange = 2;
     StmConfig stm;
-    stm.watchdogConsecAborts = 2;  // hair-trigger watchdog
+    stm.watchdog.consecAborts = 2;  // hair-trigger watchdog
     SimRequestExecutor exec(TmScheme::Stm, stm);
     ServiceResult r = runService(cfg, exec);
     ASSERT_EQ(r.segments.size(), 3u);
@@ -680,7 +680,7 @@ TEST(Service, SimAdaptiveAndStmServeTheSameBurst)
     // (EXPERIMENTS.md, "Adaptive vs STM under genuine concurrency").
     ServiceConfig cfg = simBurstCfg();
     StmConfig stm;
-    stm.watchdogConsecAborts = 2;
+    stm.watchdog.consecAborts = 2;
     SimRequestExecutor sw(TmScheme::Stm, stm);
     ServiceResult rs = runService(cfg, sw);
     SimRequestExecutor ad(TmScheme::Adaptive, stm);
@@ -777,7 +777,7 @@ TEST(Service, PooledNativeRunValidatesWithoutFingerprint)
     // identity.
     ServiceConfig cfg = baseServiceCfg();
     cfg.workers = 2;
-    NativeRequestExecutor exec{StmConfig{}};
+    NativeRequestExecutor exec;
     ServiceResult r = runService(cfg, exec);
     EXPECT_GT(r.offered, 0u);
     EXPECT_EQ(r.offered, r.admitted + r.droppedFull + r.shedPolicy);
@@ -831,7 +831,7 @@ TEST(Service, SyncNativeRunKeepsTheBitIdentityContract)
     // passing the same validation as a multi-worker pool.
     ServiceConfig cfg = baseServiceCfg();
     cfg.workers = 1;
-    NativeRequestExecutor e1{StmConfig{}}, e2{StmConfig{}};
+    NativeRequestExecutor e1, e2;
     ServiceResult a = runService(cfg, e1);
     EXPECT_FALSE(a.fingerprintExempt);
     ASSERT_TRUE(a.pool.enabled);
@@ -852,7 +852,7 @@ TEST(Service, PooledExecutorInlinePathMatchesPopulateContract)
     // Before the DES starts submitting, the pool executor must serve
     // the calibration-style synchronous probe: execute() on a fresh
     // populate works and reports sane deltas.
-    NativeRequestExecutor exec{StmConfig{}};
+    NativeRequestExecutor exec;
     ExecutorWorkload w;
     w.workload = WorkloadKind::HashTable;
     w.initialSize = 64;

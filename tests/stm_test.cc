@@ -584,5 +584,30 @@ TEST(StmGuardDeathTest, AddressNearTwoToTheSixtyFourTakesTheValidationPath)
         "out-of-range address");
 }
 
+// ------------------------------------------------ starvation watchdog
+
+TEST(Watchdog, EachBoundTripsAtItsThresholdAndZeroDisablesIt)
+{
+    // The one predicate StmThread, HytmThread and NativeThread
+    // escalate on.
+    Watchdog w{4, 16};
+    EXPECT_FALSE(w.starved(0, 0));
+    EXPECT_FALSE(w.starved(3, 15));
+    EXPECT_TRUE(w.starved(4, 0));
+    EXPECT_TRUE(w.starved(0, 16));
+    EXPECT_TRUE(w.starved(5, 17));
+
+    Watchdog no_consec{0, 16};
+    EXPECT_FALSE(no_consec.starved(1000, 15));
+    EXPECT_TRUE(no_consec.starved(0, 16));
+
+    Watchdog no_retries{4, 0};
+    EXPECT_FALSE(no_retries.starved(3, 1000));
+    EXPECT_TRUE(no_retries.starved(4, 0));
+
+    Watchdog off{0, 0};
+    EXPECT_FALSE(off.starved(~0u, ~0u));
+}
+
 } // namespace
 } // namespace hastm
