@@ -255,6 +255,70 @@ BM_ReadBarrier_Hastm_Distinct(benchmark::State &state)
 BENCHMARK(BM_ReadBarrier_Hastm_Distinct)->UseManualTime();
 
 /**
+ * The STM read barrier on four simulated cores at once: the cost of
+ * scheduling them, beside BM_FiberSwitch's bare switch. Each core
+ * reads its own slice of one shared, warmed object inside one
+ * transaction. SimCycles and HostNsPerOp are per barrier over all
+ * cores; SwitchesPerOp counts the scheduler's core changes per
+ * barrier.
+ */
+void
+BM_FourCoreReadBarrier(benchmark::State &state)
+{
+    constexpr unsigned kCores = 4;
+    const int reps = 128;
+    std::uint64_t switches = 0;
+    timedBodies(state, kCores * reps, [&] {
+        MachineParams p = benchMachine();
+        p.mem.numCores = kCores;
+        Machine machine(p);
+        SessionConfig sc;
+        sc.scheme = TmScheme::Stm;
+        sc.numThreads = kCores;
+        TmSession session(machine, sc);
+        Addr obj = kNullAddr;
+        machine.run({[&](Core &core) {
+            obj = session.threadFor(core).txAlloc(8 * kCores * reps);
+        }});
+        // The timed span runs from the first core's start to the last
+        // core's end, so it leaves out creating the cores' fibers.
+        using Clock = std::chrono::steady_clock;
+        Clock::time_point h0, h1;
+        unsigned started = 0, finished = 0;
+        auto read_slice = [&](Core &core) {
+            if (started++ == 0)
+                h0 = Clock::now();
+            TmThread &t = session.threadFor(core);
+            t.atomic([&] {
+                for (int i = 0; i < reps; ++i)
+                    t.readField(obj, 8 * (core.id() * reps + i));
+            });
+            if (++finished == kCores)
+                h1 = Clock::now();
+        };
+        machine.runOnCores(kCores, read_slice);  // warm caches and policy
+        Cycles c0 = 0;
+        for (unsigned c = 0; c < kCores; ++c)
+            c0 += machine.core(c).cycles();
+        std::uint64_t sw0 = machine.sched().switches();
+        started = finished = 0;
+        machine.runOnCores(kCores, read_slice);
+        double secs = std::chrono::duration<double>(h1 - h0).count();
+        switches += machine.sched().switches() - sw0;
+        Cycles used = 0;
+        for (unsigned c = 0; c < kCores; ++c)
+            used += machine.core(c).cycles();
+        return std::pair{used - c0, secs};
+    });
+    state.counters["SwitchesPerOp"] = benchmark::Counter(
+        state.iterations()
+            ? double(switches) /
+                  (double(state.iterations()) * kCores * reps)
+            : 0.0);
+}
+BENCHMARK(BM_FourCoreReadBarrier)->UseManualTime();
+
+/**
  * Host throughput of whole experiments: how many simulated
  * instructions the simulator retires per host second. These are the
  * end-to-end numbers the coherence fast paths (sharer directory, MRU

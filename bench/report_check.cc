@@ -4,6 +4,7 @@
  *
  *   report_check FILE...                 validate each report
  *   report_check --same A B              bit-identity, host timing scrubbed
+ *   report_check --same-sim A B          the same, for the sim/ runs both hold
  *   report_check --guard FRESH COMMITTED host-throughput guard (0.8x)
  *
  * Every mode exits non-zero on a failure and names the failing check
@@ -47,6 +48,7 @@ usage()
 {
     std::cerr << "usage: report_check FILE...\n"
                  "       report_check --same A B\n"
+                 "       report_check --same-sim A B\n"
                  "       report_check --guard FRESH COMMITTED\n";
     return 2;
 }
@@ -86,21 +88,25 @@ main(int argc, char **argv)
     if (argc < 2)
         return usage();
     std::string mode = argv[1];
-    if (mode != "--same" && mode != "--guard")
+    if (mode != "--same" && mode != "--same-sim" && mode != "--guard")
         return validate(argc, argv);
     if (argc != 4)
         return usage();
     Json a, b;
     if (!load(argv[2], a) || !load(argv[3], b))
         return 1;
-    if (mode == "--same") {
-        std::string diff = diffReports(a, b);
+    if (mode == "--same" || mode == "--same-sim") {
+        const bool sim = mode == "--same-sim";
+        std::string diff = sim ? diffSimRuns(a, b) : diffReports(a, b);
         if (!diff.empty()) {
-            std::cerr << "check 'same' failed: " << argv[2] << " and "
-                      << argv[3] << " differ at " << diff << "\n";
+            std::cerr << "check '" << mode.substr(2) << "' failed: "
+                      << argv[2] << " and " << argv[3] << " differ at "
+                      << diff << "\n";
             return 1;
         }
-        std::cout << argv[2] << " reproduces " << argv[3] << "\n";
+        std::cout << argv[2] << (sim ? "'s sim runs reproduce " :
+                                       " reproduces ")
+                  << argv[3] << "\n";
         return 0;
     }
     GuardOutcome g = guardReport(a, b);

@@ -60,6 +60,7 @@ Core::Core(CoreId id, MemSystem &mem, Scheduler &sched,
 void
 Core::interrupt()
 {
+    sync();
     sinceInterrupt_ = 0;
     // An OS interrupt is a ring transition: the hardware (or the OS
     // on its way back to user mode) executes resetmarkall, so marks
@@ -75,7 +76,7 @@ Core::interrupt()
     }
     for (unsigned f = 0; f < kNumFilters; ++f)
         bumpCounterSaturating(markCounter_[smt_][f], 1);
-    sched_.advance(cost);
+    sched_.charge(cost);
 }
 
 void
@@ -83,10 +84,11 @@ Core::maybeFault()
 {
     // fire() recurses into advance() (stalls, injected switches, and
     // evictions all charge cycles), so guard against re-entry; other
-    // cores reached through sched_.advance() fire their own injector
-    // state independently.
+    // cores reached through a sync() fire their own injector state
+    // independently.
     if (!fault_ || inFault_)
         return;
+    sync();
     inFault_ = true;
     faultDue_ = fault_->fire(*this);
     inFault_ = false;
@@ -102,6 +104,7 @@ Core::setFaultInjector(FaultInjector *f, Cycles due)
 void
 Core::injectContextSwitch(Cycles cost)
 {
+    sync();
     totalCycles_ += cost;
     phaseCycles_[std::size_t(phase_)] += cost;
     // A full preemption (unlike interrupt()'s ring transition it
@@ -118,7 +121,7 @@ Core::injectContextSwitch(Cycles cost)
     // ...and speculative state does not survive a switch either.
     specLost(SpecLoss::Capacity);
     mem_.clearSpecAll(id_);
-    sched_.advance(cost);
+    sched_.charge(cost);
 }
 
 void
@@ -182,6 +185,7 @@ void
 Core::stall(Cycles c)
 {
     advance(c);
+    sync();
 }
 
 void

@@ -86,9 +86,13 @@ struct TimingParams
 /**
  * One simulated core (one hardware context unless SMT is enabled via
  * setSmt()). All methods must be called from the scheduler thread
- * bound to this core; every method charges its cycles through the
- * scheduler, which is the only interleaving point — each core
- * operation is therefore atomic with respect to other cores.
+ * bound to this core. Time charges only advance this core's clock;
+ * every operation that can observe or change another core's state
+ * (a data access, the mark-counter and mark-reset instructions, a
+ * stall, an interrupt, an injected fault or context switch) first
+ * calls sync(), the only interleaving point. Each core operation is
+ * therefore atomic with respect to other cores, and the operations
+ * cores can see of each other run in (cycle, core) order.
  */
 class Core : public MemListener
 {
@@ -109,8 +113,19 @@ class Core : public MemListener
     /** Charge the penalty of a branch dependent on the last load. */
     void dependentBranch();
 
-    /** Burn @p c cycles (backoff / spin wait). */
+    /**
+     * Burn @p c cycles (backoff / spin wait), then sync(): a spin
+     * loop may poll host state that another core sets.
+     */
     void stall(Cycles c);
+
+    /**
+     * Let every core that is behind this one in (cycle, core) order
+     * run first. Call it before touching host-side state that another
+     * core can see; the core's own accesses and instructions call it
+     * where they need it.
+     */
+    void sync() { sched_.sync(); }
 
     // ---- plain data accesses (through the cache hierarchy) ----
 
@@ -337,7 +352,11 @@ class Core : public MemListener
   private:
     friend class PhaseScope;
 
-    /** Charge cycles, attribute to the current phase, maybe yield. */
+    /**
+     * Charge cycles and attribute them to the current phase. Only the
+     * core's own clock moves, so this does not switch cores; a due
+     * interrupt or fault, which other cores can see, syncs first.
+     */
     void
     advance(Cycles c)
     {
@@ -345,7 +364,7 @@ class Core : public MemListener
         phaseCycles_[std::size_t(phase_)] += c;
         if (timing_.interruptQuantum > 0)
             sinceInterrupt_ += c;
-        sched_.advance(c);
+        sched_.charge(c);
         if (timing_.interruptQuantum > 0 &&
             sinceInterrupt_ >= timing_.interruptQuantum)
             interrupt();
@@ -353,10 +372,14 @@ class Core : public MemListener
             maybeFault();
     }
 
-    /** A data access: the inline L1-hit path, else the full access. */
+    /**
+     * A data access: sync, then the inline L1-hit path, else the full
+     * access.
+     */
     AccessResult
     dataAccess(Addr a, unsigned size, bool is_write)
     {
+        sync();
         AccessResult r;
         if (!mem_.tryL1Hit(id_, a, size, is_write, r))
             r = mem_.access(id_, smt_, a, size, is_write);

@@ -11,7 +11,7 @@ Machine::Machine(const MachineParams &params)
 {
     arena_ = std::make_unique<MemArena>(params_.arenaBytes);
     heap_ = std::make_unique<SimAllocator>(*arena_, 64,
-                                           params_.arenaBytes - 64);
+                                           params_.arenaBytes - 64, &sched_);
     mem_ = std::make_unique<MemSystem>(*arena_, params_.mem);
     for (CoreId c = 0; c < params_.mem.numCores; ++c)
         cores_.push_back(std::make_unique<Core>(c, *mem_, sched_,

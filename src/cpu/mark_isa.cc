@@ -125,6 +125,8 @@ Core::loadTestMarkLine(Addr a, bool &marked, unsigned filter)
 void
 Core::resetMarkAll(unsigned filter)
 {
+    // Other cores' snoops discard marks and bump the counter.
+    sync();
     noteInstr(1);
     if (fullMarkIsa_)
         mem_.resetMarkAll(id_, smt_, filter);
@@ -135,6 +137,7 @@ Core::resetMarkAll(unsigned filter)
 void
 Core::resetMarkCounter(unsigned filter)
 {
+    sync();
     noteInstr(1);
     markCounter_[smt_][filter] = 0;
     advance(1);
@@ -145,6 +148,7 @@ Core::readMarkCounter(unsigned filter)
 {
     noteInstr(1);
     advance(1);
+    sync();
     return markCounter_[smt_][filter];
 }
 

@@ -35,6 +35,7 @@ ManagedHeap::alloc(Core &core, std::size_t field_bytes,
                    std::uint32_t ptr_mask)
 {
     std::size_t total = kObjHeaderBytes + ((field_bytes + 15) & ~15ull);
+    core.sync();  // every core bumps the one pointer
     if (bump_ + total > fromEnd_)
         return kNullAddr;
     Addr obj = bump_;

@@ -844,6 +844,36 @@ diffReports(const Json &a, const Json &b)
     return diffAt(a, b, "");
 }
 
+std::string
+diffSimRuns(const Json &a, const Json &b)
+{
+    std::string d = diffAt(at(a, "bench"), at(b, "bench"), "bench");
+    if (!d.empty())
+        return d;
+    auto sim_runs = [](const Json &doc) {
+        std::map<std::string, const Json *> runs;
+        const Json &arr = at(doc, "runs");
+        for (std::size_t i = 0; i < arr.size(); ++i) {
+            const std::string &l = label(arr.at(i));
+            if (l.rfind("sim/", 0) == 0)
+                runs.emplace(l, &arr.at(i));
+        }
+        return runs;
+    };
+    std::map<std::string, const Json *> theirs = sim_runs(b);
+    std::size_t shared = 0;
+    for (const auto &[label, run] : sim_runs(a)) {
+        auto other = theirs.find(label);
+        if (other == theirs.end())
+            continue;
+        ++shared;
+        d = diffAt(*run, *other->second, "runs[" + label + "]");
+        if (!d.empty())
+            return d;
+    }
+    return shared > 0 ? "" : "runs: no sim/ run in both reports";
+}
+
 GuardOutcome
 guardReport(const Json &fresh, const Json &committed)
 {

@@ -11,11 +11,12 @@
  * kReportSchemaVersion). A bench with no entries of its own gets
  * only those two.
  *
- * Beside the checks, two comparisons work on a pair of reports:
+ * Beside the checks, three comparisons work on a pair of reports:
  * diffReports() tests bit-identity once the host-timing fields are
- * scrubbed, and guardReport() applies the 0.8x host-throughput guard
- * of a fresh run against its committed baseline. bench/report_check
- * is the command-line front end for all three.
+ * scrubbed, diffSimRuns() does the same for the simulator runs two
+ * reports share, and guardReport() applies the 0.8x host-throughput
+ * guard of a fresh run against its committed baseline.
+ * bench/report_check is the command-line front end for all four.
  */
 
 #ifndef HASTM_HARNESS_REPORT_CHECK_HH
@@ -48,6 +49,16 @@ std::vector<ReportFailure> checkReport(const Json &doc);
  * the two values there.
  */
 std::string diffReports(const Json &a, const Json &b);
+
+/**
+ * diffReports() restricted to the runs whose label starts with "sim/"
+ * and that both reports hold: a report mixing simulator and native
+ * cells (serve) reproduces its simulated part, while its native cells
+ * and the rows aggregating them follow the host. Returns "" when the
+ * two reports are of one bench, share at least one sim run, and every
+ * shared sim run is equal; else what differs.
+ */
+std::string diffSimRuns(const Json &a, const Json &b);
 
 /** How guardReport() judged a fresh report. */
 enum class GuardVerdict { Pass, Fail, Skip };

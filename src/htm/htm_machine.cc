@@ -18,6 +18,7 @@ void
 HtmMachine::txBegin()
 {
     HASTM_ASSERT(!active_);
+    core_.sync();
     core_.mem().clearSpecAll(core_.id());
     undo_.clear();
     active_ = true;
@@ -30,15 +31,15 @@ bool
 HtmMachine::txCommit()
 {
     HASTM_ASSERT(active_);
-    if (doomed_) {
+    if (doomed()) {
         active_ = false;
         return false;
     }
     // The commit instruction itself takes time; a conflicting snoop
     // can still doom the transaction while it retires, so the commit
-    // point is the doomed_ check *after* the charge.
+    // point is the doomed() check *after* the charge.
     core_.execInstr(6);
-    if (doomed_) {
+    if (doomed()) {
         active_ = false;
         return false;
     }
@@ -52,7 +53,7 @@ void
 HtmMachine::txAbortExplicit()
 {
     HASTM_ASSERT(active_);
-    if (!doomed_)
+    if (!doomed())
         doAbort(HtmAbortCause::Explicit);
 }
 
@@ -95,7 +96,7 @@ HtmMachine::specLoad(Addr a)
     HASTM_ASSERT(active_);
     bool tracked = false;
     std::uint64_t v = core_.loadSpec<std::uint64_t>(a, tracked);
-    if (!doomed_ && !tracked)
+    if (!tracked && !doomed())
         doAbort(HtmAbortCause::Capacity);
     return v;
 }

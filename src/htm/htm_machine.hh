@@ -57,8 +57,25 @@ class HtmMachine
     void reset();
 
     bool active() const { return active_; }
-    bool doomed() const { return doomed_; }
-    HtmAbortCause lastAbortCause() const { return lastCause_; }
+
+    /**
+     * True once the transaction was aborted. Another core's access can
+     * doom it, so this syncs the core first.
+     */
+    bool
+    doomed()
+    {
+        core_.sync();
+        return doomed_;
+    }
+
+    /** Cause of the last abort; syncs like doomed(). */
+    HtmAbortCause
+    lastAbortCause()
+    {
+        core_.sync();
+        return lastCause_;
+    }
 
     /** Transactional load; aborts are visible via doomed(). */
     std::uint64_t specLoad(Addr a);

@@ -218,10 +218,9 @@ HytmThread::commit()
         // written under each bumped record so software transactions
         // aborted by them can classify the conflict.
         footprint_.groupWrites();
-        for (auto &[rec, ver] : recLog_) {
-            g_.classifier().publishRelease(recLogArea_, rec,
-                                           footprint_.writeLines(rec));
-        }
+        core_.sync();
+        for (auto &[rec, ver] : recLog_)
+            g_.classifier().publishRelease(recLogArea_, rec, footprint_);
     }
     for (Addr obj : txFrees_)
         g_.machine().heap().free(obj);
@@ -289,6 +288,7 @@ HytmThread::noteAbort(const TxConflictAbort &abort)
     // record semantics to classify.
     if (abort.rec == kNullAddr || abort.kind != AbortKind::HtmExplicit)
         return;
+    core_.sync();
     accountConflictClass(
         stats_, g_.classifier().classify(footprint_, recLogArea_,
                                          abort.rec,

@@ -4,11 +4,13 @@
 
 #include "mem/arena.hh"
 #include "sim/logging.hh"
+#include "sim/scheduler.hh"
 
 namespace hastm {
 
-SimAllocator::SimAllocator(MemArena &arena, Addr base, std::size_t length)
-    : arena_(arena), base_(base)
+SimAllocator::SimAllocator(MemArena &arena, Addr base, std::size_t length,
+                           Scheduler *sched)
+    : arena_(arena), sched_(sched), base_(base)
 {
     HASTM_ASSERT(base >= 64);
     HASTM_ASSERT(base + length <= arena.size());
@@ -20,6 +22,7 @@ SimAllocator::alloc(std::size_t size, std::size_t align)
 {
     HASTM_ASSERT(size > 0);
     HASTM_ASSERT((align & (align - 1)) == 0);
+    sync();
     for (auto it = freeBlocks_.begin(); it != freeBlocks_.end(); ++it) {
         Addr start = it->first;
         std::size_t len = it->second;
@@ -54,6 +57,7 @@ SimAllocator::allocZeroed(std::size_t size, std::size_t align)
 void
 SimAllocator::free(Addr addr)
 {
+    sync();
     auto it = sizes_.find(addr);
     if (it == sizes_.end()) {
         if (lenientFree_)
@@ -65,6 +69,13 @@ SimAllocator::free(Addr addr)
     sizes_.erase(it);
     allocated_ -= size;
     insertFree(addr, size);
+}
+
+void
+SimAllocator::sync()
+{
+    if (sched_ && sched_->inThread())
+        sched_->sync();
 }
 
 void

@@ -18,11 +18,14 @@
 namespace hastm {
 
 class MemArena;
+class Scheduler;
 
 /**
  * Simple first-fit allocator with coalescing. Not a timing model —
  * allocation cost is charged separately by callers that care (the STM
- * charges cycles for log-chunk allocation slow paths).
+ * charges cycles for log-chunk allocation slow paths). The free list
+ * is shared by every simulated core, so a call from inside a
+ * simulated thread syncs first: addresses follow (cycle, core) order.
  */
 class SimAllocator
 {
@@ -30,8 +33,10 @@ class SimAllocator
     /**
      * Manage [base, base+length) of @p arena.
      * @param base First managed byte; must be at least 64.
+     * @param sched The scheduler of the cores that allocate, if any.
      */
-    SimAllocator(MemArena &arena, Addr base, std::size_t length);
+    SimAllocator(MemArena &arena, Addr base, std::size_t length,
+                 Scheduler *sched = nullptr);
 
     /**
      * Allocate @p size bytes aligned to @p align (a power of two).
@@ -67,6 +72,7 @@ class SimAllocator
 
   private:
     MemArena &arena_;
+    Scheduler *sched_;
     Addr base_;
     std::map<Addr, std::size_t> freeBlocks_;  //!< addr -> length
     std::map<Addr, std::size_t> sizes_;       //!< live allocation sizes
@@ -74,6 +80,9 @@ class SimAllocator
     bool lenientFree_ = false;
 
     void insertFree(Addr addr, std::size_t len);
+
+    /** Order a simulated thread's call among the other cores' calls. */
+    void sync();
 };
 
 } // namespace hastm

@@ -237,9 +237,15 @@ SimRequestExecutor::runBacklog()
 {
     // Every fiber drains the one shared FIFO. Fibers are cooperative,
     // so the host-side queue needs no lock, and which fiber takes
-    // which request is fixed by the deterministic scheduler.
-    auto drain = [this](TmExec &t) {
-        while (!backlog_.empty()) {
+    // which request is fixed by the deterministic scheduler: each
+    // fiber syncs before it looks at the queue, so the fiber whose
+    // core is earliest in (cycle, core) order takes the next request.
+    Scheduler &sched = backend_->machine().sched();
+    auto drain = [this, &sched](TmExec &t) {
+        for (;;) {
+            sched.sync();
+            if (backlog_.empty())
+                break;
             auto [ticket, req] = backlog_.front();
             backlog_.pop_front();
             done_.emplace(ticket, svcdetail::measureOp(t, ds_.ops, req));

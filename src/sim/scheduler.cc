@@ -9,6 +9,10 @@ namespace hastm {
 ThreadId
 Scheduler::spawn(ThreadFn fn, Cycles start_time)
 {
+    // Thread ids break time ties, so peers must spawn in (time, id)
+    // order too.
+    if (inThread())
+        sync();
     auto t = std::make_unique<Thread>();
     t->id = static_cast<ThreadId>(threads_.size());
     t->time = start_time;
@@ -55,20 +59,19 @@ Scheduler::run()
         }
         Thread &next = *runQueue_.front();
         runQueue_.erase(runQueue_.begin());
-        current_ = next.id;
+        setRunning(&next);
         ++switches_;
         mainFiber_.switchTo(*next.fiber);
         // Control returns here whenever the running thread yields.
-        current_ = kNoThread;
+        setRunning(nullptr);
     }
 }
 
 void
 Scheduler::switchToScheduler()
 {
-    Thread &self = *threads_[current_];
-    self.fiber->switchTo(mainFiber_);
-    // Resumed: run() or a peer's advance() has set current_ to us.
+    running_->fiber->switchTo(mainFiber_);
+    // Resumed: run() or a peer's sync() has made us the running thread.
     maybePark();
 }
 
@@ -76,9 +79,8 @@ void
 Scheduler::maybePark()
 {
     while (stopPending_ && current_ != stopRequester_) {
-        Thread &self = *threads_[current_];
-        self.state = ThreadState::Safepoint;
-        self.fiber->switchTo(mainFiber_);
+        running_->state = ThreadState::Safepoint;
+        running_->fiber->switchTo(mainFiber_);
     }
 }
 
@@ -101,7 +103,7 @@ Scheduler::handOver(Thread &self)
          ++i)
         runQueue_[i] = runQueue_[i + 1];
     runQueue_[i] = &self;
-    current_ = next.id;
+    setRunning(&next);
     ++switches_;
     self.fiber->switchTo(*next.fiber);
     // Resumed: whoever switched back here set current_ to us.
@@ -109,23 +111,18 @@ Scheduler::handOver(Thread &self)
 }
 
 void
-Scheduler::yield()
-{
-    advance(0);
-}
-
-void
 Scheduler::block()
 {
-    HASTM_ASSERT(inThread());
-    Thread &self = *threads_[current_];
-    self.state = ThreadState::Blocked;
+    sync();
+    running_->state = ThreadState::Blocked;
     switchToScheduler();
 }
 
 void
 Scheduler::unblock(ThreadId tid)
 {
+    if (inThread())
+        sync();
     Thread &t = *threads_[tid];
     HASTM_ASSERT(t.state == ThreadState::Blocked);
     t.state = ThreadState::Runnable;
@@ -137,8 +134,9 @@ Scheduler::unblock(ThreadId tid)
 void
 Scheduler::threadExit()
 {
-    HASTM_ASSERT(inThread());
-    Thread &self = *threads_[current_];
+    // Whether a thread is still live is visible to stopTheWorld().
+    sync();
+    Thread &self = *running_;
     self.state = ThreadState::Finished;
     self.fiber->switchTo(mainFiber_);
     panic("finished thread %u was resumed", self.id);
@@ -147,16 +145,18 @@ Scheduler::threadExit()
 void
 Scheduler::stopTheWorld()
 {
-    HASTM_ASSERT(inThread());
+    sync();
     HASTM_ASSERT(!stopPending_);
+    Thread &self = *running_;
     stopPending_ = true;
     stopRequester_ = current_;
-    // Spin until every other live thread is parked or finished. Each
-    // iteration bumps our virtual time past the latest runnable peer,
-    // so the scheduler runs every peer up to its next safepoint check
-    // before control returns here.
+    stopStart_ = self.time;
+    // Wait until every other live thread is parked or finished. Each
+    // iteration lifts our virtual time past the latest runnable peer,
+    // so run() resumes every peer up to its next safepoint before
+    // control returns here. The lift only orders the parking: the
+    // pause starts at our time on entry, whatever the peers' times.
     for (;;) {
-        Thread &self = *threads_[current_];
         bool all_parked = true;
         Cycles max_other = 0;
         for (const auto &t : threads_) {
@@ -168,24 +168,30 @@ Scheduler::stopTheWorld()
             }
         }
         if (all_parked)
-            return;
+            break;
         self.time = std::max(self.time, max_other + 1);
         switchToScheduler();
     }
+    self.time = stopStart_;
 }
 
 void
 Scheduler::resumeTheWorld()
 {
-    HASTM_ASSERT(inThread());
+    // A thread spawned or woken during the pause parks before the
+    // release, as it would at any earlier switch.
+    sync();
     HASTM_ASSERT(stopPending_ && current_ == stopRequester_);
     stopPending_ = false;
     stopRequester_ = kNoThread;
+    // Delaying every parked thread by the pause keeps each one's
+    // later times independent of where it parked: a thread that ran
+    // further before parking only did its own work earlier.
+    const Cycles pause = now() - stopStart_;
     for (auto &t : threads_) {
         if (t->state == ThreadState::Safepoint) {
             t->state = ThreadState::Runnable;
-            if (t->time < now())
-                t->time = now();
+            t->time += pause;
         }
     }
     rebuildRunQueue();
@@ -202,7 +208,7 @@ Cycles
 Scheduler::now() const
 {
     HASTM_ASSERT(inThread());
-    return threads_[current_]->time;
+    return running_->time;
 }
 
 } // namespace hastm

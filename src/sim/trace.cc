@@ -3,8 +3,16 @@
 #include <fstream>
 
 #include "sim/logging.hh"
+#include "sim/scheduler.hh"
 
 namespace hastm {
+
+void
+TraceSink::sync()
+{
+    if (sched_ && sched_->inThread())
+        sched_->sync();
+}
 
 bool
 TraceSink::flush()

@@ -10,6 +10,9 @@
  * in cycles. Collection is host-side only and charges no simulated
  * cost; the sink is created only when StmConfig::tracePath is set, so
  * the default configuration has zero overhead beyond a null check.
+ * Every core appends to one event list, so an event from inside a
+ * simulated thread syncs its core first: the file lists events in the
+ * (cycle, core) order the cores reach them.
  */
 
 #ifndef HASTM_SIM_TRACE_HH
@@ -24,11 +27,15 @@
 
 namespace hastm {
 
+class Scheduler;
+
 /** One in-memory trace; written to disk when flushed or destroyed. */
 class TraceSink
 {
   public:
-    explicit TraceSink(std::string path) : path_(std::move(path)) {}
+    /** @p sched: the scheduler of the simulated threads that emit. */
+    explicit TraceSink(std::string path, Scheduler *sched = nullptr)
+        : path_(std::move(path)), sched_(sched) {}
 
     ~TraceSink() { flush(); }
     TraceSink(const TraceSink &) = delete;
@@ -39,6 +46,7 @@ class TraceSink
     complete(unsigned tid, Cycles ts, Cycles dur, const char *name,
              Json args = Json())
     {
+        sync();
         events_.push_back(make(tid, ts, "X", name, std::move(args))
                               .set("dur", std::uint64_t(dur)));
     }
@@ -47,6 +55,7 @@ class TraceSink
     void
     instant(unsigned tid, Cycles ts, const char *name, Json args = Json())
     {
+        sync();
         events_.push_back(make(tid, ts, "i", name, std::move(args))
                               .set("s", "t"));
     }
@@ -62,6 +71,9 @@ class TraceSink
     const std::string &path() const { return path_; }
 
   private:
+    /** Order an emitting simulated thread among the other cores. */
+    void sync();
+
     static Json
     make(unsigned tid, Cycles ts, const char *ph, const char *name,
          Json args)
@@ -78,6 +90,7 @@ class TraceSink
     }
 
     std::string path_;
+    Scheduler *sched_;
     std::vector<Json> events_;
 };
 

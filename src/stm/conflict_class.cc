@@ -40,10 +40,10 @@ TxFootprint::groupWrites()
     wrGrouped_ = wr_.size();
 }
 
-std::vector<Addr>
-TxFootprint::writeLines(Addr rec) const
+void
+TxFootprint::writeLines(Addr rec, std::vector<Addr> &lines) const
 {
-    std::vector<Addr> lines;
+    lines.clear();
     auto grouped_end = wr_.begin() + static_cast<std::ptrdiff_t>(wrGrouped_);
     for (auto it = std::lower_bound(wr_.begin(), grouped_end, Note{rec, 0});
          it != grouped_end && it->rec == rec; ++it)
@@ -53,7 +53,6 @@ TxFootprint::writeLines(Addr rec) const
             lines.push_back(it->line);
     }
     sortUnique(lines);
-    return lines;
 }
 
 ConflictClassifier::Verdict
@@ -75,7 +74,7 @@ ConflictClassifier::classify(const TxFootprint &mine, Addr self,
     if (!txrec::isVersion(recval) && recval != self) {
         auto owner = owners_.find(recval);
         if (owner != owners_.end()) {
-            owner_lines = owner->second->writeLines(rec);
+            owner->second->writeLines(rec, owner_lines);
             if (!owner_lines.empty())
                 theirs = &owner_lines;
         }

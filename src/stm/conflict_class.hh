@@ -77,8 +77,11 @@ class TxFootprint
      */
     void groupWrites();
 
-    /** Distinct lines written under @p rec this attempt. */
-    std::vector<Addr> writeLines(Addr rec) const;
+    /**
+     * Replace @p out with the distinct lines written under @p rec this
+     * attempt (sorted). Reuses @p out's capacity.
+     */
+    void writeLines(Addr rec, std::vector<Addr> &out) const;
 
   private:
     struct Note
@@ -107,6 +110,11 @@ class TxFootprint
  *    HyTM hardware commit) published the lines it wrote under R.
  * Both are keyed by a publisher identity so a thread never classifies
  * its own abort against footprint data it published itself.
+ *
+ * Simulated threads share this state, so each caller syncs its core
+ * before a call, and a registered owner syncs before noting a write:
+ * a classification then sees exactly the footprints and releases of
+ * the cycles before it.
  */
 class ConflictClassifier
 {
@@ -124,15 +132,22 @@ class ConflictClassifier
         owners_.erase(desc);
     }
 
-    /** Record that @p publisher released @p rec after writing @p lines. */
+    /**
+     * Record that @p publisher released @p rec after writing, in this
+     * attempt, the lines @p fp noted under it (fp.groupWrites() must
+     * have run). Allocates nothing once the record's entry and the
+     * scratch list have grown to fit.
+     */
     void
-    publishRelease(Addr publisher, Addr rec, std::vector<Addr> lines)
+    publishRelease(Addr publisher, Addr rec, const TxFootprint &fp)
     {
-        if (lines.empty())
+        fp.writeLines(rec, scratch_);
+        if (scratch_.empty())
             return;
         LastWrite &lw = lastWrite_[rec];
         lw.publisher = publisher;
-        lw.lines = std::move(lines);
+        // The replaced list's buffer becomes the next scratch.
+        lw.lines.swap(scratch_);
     }
 
     struct Verdict
@@ -159,6 +174,7 @@ class ConflictClassifier
 
     std::unordered_map<Addr, const TxFootprint *> owners_;
     std::unordered_map<Addr, LastWrite> lastWrite_;
+    std::vector<Addr> scratch_;  //!< publishRelease's line buffer
 };
 
 /** Fold a verdict into the per-thread outcome counters. */

@@ -14,7 +14,8 @@ StmGlobals::StmGlobals(Machine &machine, const StmConfig &cfg)
 {
     gate_ = std::make_unique<SerialGate>(machine);
     if (!cfg_.tracePath.empty())
-        trace_ = std::make_unique<TraceSink>(cfg_.tracePath);
+        trace_ = std::make_unique<TraceSink>(cfg_.tracePath,
+                                             &machine.sched());
 }
 
 StmGlobals::~StmGlobals() = default;
@@ -194,7 +195,7 @@ StmThread::writeWord(Addr a, std::uint64_t v, bool is_ptr)
     guardAddr(a, 8);
     ++stats_.wrBarriers;
     Addr rec = recForWord(a);
-    footprint_.noteWrite(rec, a);
+    noteWrite(rec, a);
     writeShared(a, rec, v, is_ptr);
 }
 
@@ -206,8 +207,17 @@ StmThread::writeField(Addr obj, unsigned off, std::uint64_t v, bool is_ptr)
     guardAddr(data, 8);
     ++stats_.wrBarriers;
     Addr rec = recForField(obj, data);
-    footprint_.noteWrite(rec, data);
+    noteWrite(rec, data);
     writeShared(data, rec, v, is_ptr);
+}
+
+void
+StmThread::noteWrite(Addr rec, Addr data)
+{
+    // The footprint is registered with the classifier, which other
+    // cores read when they classify an abort against us.
+    core_.sync();
+    footprint_.noteWrite(rec, data);
 }
 
 void
@@ -420,8 +430,8 @@ StmThread::releaseOwned(bool bump)
         // false-conflict classifier. Both commit and rollback count:
         // versioning is eager, so concurrent readers can have seen
         // the in-flight values either way.
-        g_.classifier().publishRelease(desc_.addr(), rec,
-                                       footprint_.writeLines(rec));
+        core_.sync();
+        g_.classifier().publishRelease(desc_.addr(), rec, footprint_);
     });
     desc_.ownedVersions.clear();
 }
@@ -549,6 +559,7 @@ StmThread::classifyAbort(const TxConflictAbort &abort)
       default:
         return;  // no record semantics to classify
     }
+    core_.sync();
     accountConflictClass(
         stats_, g_.classifier().classify(footprint_, desc_.addr(),
                                          abort.rec,

@@ -270,6 +270,9 @@ class StmThread : public TmThread
     /** Undo-log the old value of @p data (eager versioning). */
     virtual void undoAppend(Addr data, bool is_ptr);
 
+    /** Sync, then note a write of @p data under @p rec (footprint_). */
+    void noteWrite(Addr rec, Addr data);
+
     /** Full write path shared by writeWord/writeField. */
     void writeShared(Addr data, Addr rec, std::uint64_t v, bool is_ptr);
 

@@ -245,6 +245,61 @@ TEST(Core, DependentBranchChargesPenalty)
     }});
 }
 
+TEST(Core, StallSpinWaitSeesAFlagAnotherCoreSets)
+{
+    // A pure time charge never switches cores, so a spin loop on host
+    // state only ends because stall() syncs after its charge. The loop
+    // is bounded so a stall that stops syncing fails here instead of
+    // hanging the test.
+    Machine m(smallParams());
+    bool flag = false;
+    Cycles seen_at = 0;
+    int polls = 0;
+    m.run({
+        [&](Core &core) {
+            while (!flag && polls < 100000) {
+                core.stall(10);
+                ++polls;
+            }
+            seen_at = core.cycles();
+        },
+        [&](Core &core) {
+            core.execInstr(5000);
+            core.sync();  // the flag is host state core 0 reads
+            flag = true;
+        },
+    });
+    ASSERT_TRUE(flag);
+    EXPECT_LT(polls, 100000) << "core 0 never let core 1 set the flag";
+    // Core 0 saw the flag at its first poll after the cycle it was
+    // set at.
+    EXPECT_GT(seen_at, 5000u);
+    EXPECT_LE(seen_at, 5000u + 10);
+}
+
+TEST(Machine, HeapAllocationsFollowCycleOrder)
+{
+    // Core 0 allocates after a long compute charge, core 1 after a
+    // short one. The free list is shared, so core 1, earlier in cycle
+    // order, must get the first-fit (lower) block although core 0
+    // reaches its call first on the host.
+    Machine m(smallParams());
+    Addr first = kNullAddr, second = kNullAddr;
+    m.run({
+        [&](Core &core) {
+            core.execInstr(10000);
+            second = m.heap().alloc(64, 64);
+        },
+        [&](Core &core) {
+            core.execInstr(10);
+            first = m.heap().alloc(64, 64);
+        },
+    });
+    EXPECT_LT(first, second)
+        << "the allocation at cycle 10000 was served before the one at "
+           "cycle 10";
+}
+
 TEST(Machine, MultiRunKeepsCacheState)
 {
     Machine m(smallParams());

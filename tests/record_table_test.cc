@@ -311,6 +311,38 @@ TEST(ConflictClass, SameLineClassifiesAsTrueSharing)
     EXPECT_EQ(s.aliased, 0u);
 }
 
+TEST(ConflictClass, VerdictSeesOnlyTheOwnersEarlierWrites)
+{
+    // The owner writes a1, computes for 100k cycles, then writes a2,
+    // the requester's line under the same record. The requester's
+    // aborts before cycle 100k must see only a1: aliased. The owner
+    // reaches its second write first on the host (a charge does not
+    // switch cores), so noting it without a sync would make them true.
+    Env env(TmScheme::Stm, 2, StmConfig{});
+    Addr blk = env.machine->heap().allocZeroed(
+        txrec::kTableBytes + 4096, 64);
+    Addr a1 = blk;
+    Addr a2 = blk + txrec::kTableBytes;
+    env.machine->run({
+        [&](Core &core) {
+            TmThread &t = env.session->threadFor(core);
+            t.atomic([&] {
+                t.writeWord(a1, 1);
+                t.simInstr(100000);
+                t.writeWord(a2, 1);
+                core.stall(60000);
+            });
+        },
+        [&](Core &core) {
+            TmThread &t = env.session->threadFor(core);
+            core.stall(1000);
+            t.atomic([&] { t.writeWord(a2, 2); });
+        },
+    });
+    const TmStats &s = env.session->thread(1).stats();
+    EXPECT_GE(s.conflictsAliased, 1u);
+}
+
 TEST(ConflictClass, PerArenaShardsRemoveTheAliasedConflicts)
 {
     // Same collision pattern as the aliased case, but each thread's
@@ -329,6 +361,26 @@ sorted(std::vector<Addr> v)
 {
     std::sort(v.begin(), v.end());
     return v;
+}
+
+/** TxFootprint::writeLines into a fresh list. */
+std::vector<Addr>
+writeLines(const TxFootprint &fp, Addr rec)
+{
+    std::vector<Addr> lines{999};  // stale content must be replaced
+    fp.writeLines(rec, lines);
+    return lines;
+}
+
+/** A grouped footprint that wrote @p lines under @p rec. */
+TxFootprint
+wrote(Addr rec, std::initializer_list<Addr> lines)
+{
+    TxFootprint fp;
+    for (Addr l : lines)
+        fp.noteWrite(rec, l * 64);
+    fp.groupWrites();
+    return fp;
 }
 
 /**
@@ -357,25 +409,25 @@ TEST(TxFootprint, LinesDedupPerRecordAndWriteLinesSkipReadOnlyLines)
     TxFootprint fp = sampleFootprint();
     EXPECT_EQ(sorted(fp.linesUnder(0x1000)),
               (std::vector<Addr>{40, 41, 42}));
-    EXPECT_EQ(sorted(fp.writeLines(0x1000)), (std::vector<Addr>{40, 42}));
+    EXPECT_EQ(sorted(writeLines(fp, 0x1000)), (std::vector<Addr>{40, 42}));
     EXPECT_EQ(fp.linesUnder(0x2000), (std::vector<Addr>{43, 44}));
-    EXPECT_EQ(fp.writeLines(0x2000), (std::vector<Addr>{44}));
+    EXPECT_EQ(writeLines(fp, 0x2000), (std::vector<Addr>{44}));
     EXPECT_TRUE(fp.linesUnder(0x3000).empty());
-    EXPECT_TRUE(fp.writeLines(0x3000).empty());
+    EXPECT_TRUE(writeLines(fp, 0x3000).empty());
 
     // Grouping the writes for a release changes no answer, and writes
     // noted after it still count.
     fp.groupWrites();
-    EXPECT_EQ(sorted(fp.writeLines(0x1000)), (std::vector<Addr>{40, 42}));
+    EXPECT_EQ(sorted(writeLines(fp, 0x1000)), (std::vector<Addr>{40, 42}));
     fp.noteWrite(0x1000, 41 * 64 + 8);
     fp.noteWrite(0x1000, 40 * 64);
-    EXPECT_EQ(sorted(fp.writeLines(0x1000)),
+    EXPECT_EQ(sorted(writeLines(fp, 0x1000)),
               (std::vector<Addr>{40, 41, 42}));
-    EXPECT_EQ(fp.writeLines(0x2000), (std::vector<Addr>{44}));
+    EXPECT_EQ(writeLines(fp, 0x2000), (std::vector<Addr>{44}));
 
     fp.reset();
     EXPECT_TRUE(fp.linesUnder(0x1000).empty());
-    EXPECT_TRUE(fp.writeLines(0x1000).empty());
+    EXPECT_TRUE(writeLines(fp, 0x1000).empty());
 }
 
 TEST(TxFootprint, VerdictCountsEachLineUnderTheRecordOnce)
@@ -391,13 +443,13 @@ TEST(TxFootprint, VerdictCountsEachLineUnderTheRecordOnce)
     EXPECT_EQ(v.myLines, 3u);
 
     // The peer wrote a line this attempt only read: a true conflict.
-    cc.publishRelease(peer, rec, {41});
+    cc.publishRelease(peer, rec, wrote(rec, {41}));
     v = cc.classify(mine, self, rec, arena);
     EXPECT_EQ(v.cls, ConflictClass::True);
     EXPECT_EQ(v.myLines, 3u);
 
     // Line 44 was touched here, but under another record.
-    cc.publishRelease(peer, rec, {44});
+    cc.publishRelease(peer, rec, wrote(rec, {44}));
     v = cc.classify(mine, self, rec, arena);
     EXPECT_EQ(v.cls, ConflictClass::Aliased);
     EXPECT_EQ(v.myLines, 3u);
@@ -436,14 +488,13 @@ publishSeconds(unsigned writes)
         }
         fp.groupWrites();
         for (unsigned i = 0; i < writes; ++i)
-            cc.publishRelease(1, 0x10000 + 64 * Addr(i),
-                              fp.writeLines(0x10000 + 64 * Addr(i)));
+            cc.publishRelease(1, 0x10000 + 64 * Addr(i), fp);
         std::chrono::duration<double> dt =
             std::chrono::steady_clock::now() - t0;
         if (rep > 0)  // the first round also grows the classifier's map
             best = std::min(best, dt.count());
     }
-    EXPECT_EQ(fp.writeLines(0x10000 + 64 * 7), (std::vector<Addr>{7}));
+    EXPECT_EQ(writeLines(fp, 0x10000 + 64 * 7), (std::vector<Addr>{7}));
     return best;
 }
 

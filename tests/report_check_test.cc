@@ -479,6 +479,53 @@ TEST(ReportCheck, SameIgnoresOnlyHostTiming)
     EXPECT_NE(diffReports(base, extra).find("generated"), std::string::npos);
 }
 
+TEST(ReportCheck, SameSimComparesOnlyTheSimRunsBothReportsHold)
+{
+    const Json &base = baseline("BENCH_serve.json");
+    EXPECT_EQ(diffSimRuns(base, base), "");
+
+    // Native cells and the rows aggregating them follow the host.
+    Json host = base;
+    editRuns(host, [](Json &run) {
+        if (labelOf(run).rfind("sim/", 0) != 0)
+            run["data"]["moved"] = true;
+        return true;
+    });
+    EXPECT_NE(diffReports(base, host), "");
+    EXPECT_EQ(diffSimRuns(base, host), "");
+
+    // A moved sim cell fails, named by its label, either way round.
+    Json moved = base;
+    editRun(moved, "sim/hastm/sat/w4/seed2", [](Json &run) {
+        bump(run["data"]["result"]["tm"]["commits"]);
+    });
+    std::string diff = diffSimRuns(moved, base);
+    EXPECT_NE(diff.find("runs[sim/hastm/sat/w4/seed2].data.result.tm."
+                        "commits"),
+              std::string::npos)
+        << diff;
+    EXPECT_NE(diffSimRuns(base, moved), "");
+
+    // A smaller campaign (serve --ci) compares the cells it shares.
+    Json subset = base;
+    editRuns(subset, [](const Json &run) {
+        return labelOf(run).find("/seed2") == std::string::npos;
+    });
+    EXPECT_EQ(diffSimRuns(subset, base), "");
+    // The moved seed2 cell is not in the subset, so it is not compared.
+    EXPECT_EQ(diffSimRuns(subset, moved), "");
+
+    Json none = base;
+    editRuns(none, [](const Json &run) {
+        return labelOf(run).rfind("sim/", 0) != 0;
+    });
+    EXPECT_NE(diffSimRuns(base, none).find("no sim/ run"), std::string::npos);
+
+    Json other = base;
+    other["bench"] = "fig11";
+    EXPECT_NE(diffSimRuns(base, other).find("bench"), std::string::npos);
+}
+
 namespace {
 
 /** host_native pair: scale cells at 1000 ops/s, one fresh one at @p got. */

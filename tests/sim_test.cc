@@ -10,6 +10,7 @@
 #include <functional>
 #include <iterator>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -175,9 +176,9 @@ TEST(Scheduler, DeterministicSwitchCount)
  */
 struct Step
 {
-    enum Op { Advance, Block, Unblock, Stop, Resume, Spawn } op;
+    enum Op { Charge, Sync, Block, Unblock, Stop, Resume, Spawn } op;
     /**
-     * Advance: cycles. Unblock: the thread to wake if it is blocked.
+     * Charge: cycles. Unblock: the thread to wake if it is blocked.
      * Spawn: the pool script the new thread runs (it starts at the
      * spawner's time).
      */
@@ -185,27 +186,42 @@ struct Step
 };
 
 using Script = std::vector<Step>;
-using Trace = std::vector<std::pair<ThreadId, Cycles>>;
+
+/** Trace op of a thread's start (the other entries carry Step::Op). */
+constexpr int kStart = -1;
+
+/** (thread, time, op): a thread started or returned from a step. */
+using Event = std::tuple<ThreadId, Cycles, int>;
+using Trace = std::vector<Event>;
 
 /**
- * Reference model of the scheduling rule: whenever the running thread
- * yields, the runnable thread with minimal (time, id) runs next, and
- * every hand-over to a thread counts one switch. A thread records
- * (id, time) when it starts and after each of its steps returns.
- * Threads 0..initial-1 run pool scripts 0..initial-1. A run the real
- * Scheduler would refuse (a nested stop, a resume without a stop, a
- * deadlock) clears valid and ends the model run.
+ * Reference model of the scheduling rule with every charge switching
+ * (Scheduler::advance): whenever the running thread syncs, the
+ * runnable thread with minimal (time, id) runs next, and every
+ * hand-over to a thread counts one switch. A charge parks at a
+ * pending stop-the-world. Block, Unblock, Spawn, Stop, Resume and a
+ * thread's exit sync first, as the Scheduler's own operations do;
+ * Stop runs every peer to its safepoint and keeps the requester's
+ * time, and Resume delays each parked thread by the pause. A thread
+ * records an Event when it starts and after each of its steps
+ * returns. Threads 0..initial-1 run pool scripts 0..initial-1. A run
+ * the real Scheduler would refuse (a nested stop, a resume without a
+ * stop, a deadlock) clears valid and ends the model run.
  */
 struct SchedModel
 {
+    /** The pieces a step runs, in order; a thread resumes after one. */
+    enum class Micro { Charge, Sync, Block, Unblock, Spawn, Stop, StopWait,
+                       Resume, Exit };
+
     struct T
     {
         std::size_t script = 0;
         Cycles time = 0;
         ThreadState st = ThreadState::Runnable;
-        std::size_t pc = 0;
+        std::size_t pc = 0;   //!< step; script.size() is the exit
+        std::size_t mpc = 0;  //!< next micro-op of step pc
         bool started = false;
-        bool inStep = false;  //!< suspended inside step pc
     };
 
     std::vector<Script> pool;
@@ -214,6 +230,7 @@ struct SchedModel
     std::uint64_t switches = 0;
     bool stopPending = false;
     ThreadId requester = 0;
+    Cycles stopStart = 0;
     bool valid = true;
 
     SchedModel(std::vector<Script> p, std::size_t initial)
@@ -221,6 +238,24 @@ struct SchedModel
     {
         for (std::size_t i = 0; i < initial; ++i)
             ts[i].script = i;
+    }
+
+    static std::vector<Micro>
+    micros(const Script &script, std::size_t pc)
+    {
+        using M = Micro;
+        if (pc == script.size())
+            return {M::Sync, M::Exit};
+        switch (script[pc].op) {
+          case Step::Charge:  return {M::Charge, M::Sync};
+          case Step::Sync:    return {M::Sync};
+          case Step::Block:   return {M::Sync, M::Block};
+          case Step::Unblock: return {M::Sync, M::Unblock};
+          case Step::Spawn:   return {M::Sync, M::Spawn};
+          case Step::Stop:    return {M::Sync, M::Stop, M::StopWait};
+          case Step::Resume:  return {M::Sync, M::Resume};
+        }
+        return {};
     }
 
     ThreadId
@@ -244,44 +279,30 @@ struct SchedModel
         const Script &script = pool[t.script];
         if (!t.started) {
             t.started = true;
-            trace.push_back({id, t.time});
-        }
-        // A thread resumed inside a step (a yield or a block) honours
-        // a pending safepoint first. Steps that do not yield run on.
-        if (t.inStep && stopPending && id != requester) {
+            trace.push_back({id, t.time, kStart});
+        } else if (stopPending && id != requester) {
+            // Resumed after a switch: honour a pending safepoint.
             t.st = ThreadState::Safepoint;
             return;
         }
         for (;;) {
-            if (t.inStep) {
-                if (script[t.pc].op == Step::Stop) {
-                    Cycles max_other = 0;
-                    bool all_parked = true;
-                    for (ThreadId o = 0; o < ts.size(); ++o) {
-                        if (o != id &&
-                            ts[o].st == ThreadState::Runnable) {
-                            all_parked = false;
-                            max_other = std::max(max_other, ts[o].time);
-                        }
-                    }
-                    if (!all_parked) {
-                        t.time = std::max(t.time, max_other + 1);
-                        return;
-                    }
-                }
-                t.inStep = false;
-                trace.push_back({id, t.time});
+            std::vector<Micro> ms = micros(script, t.pc);
+            if (t.mpc == ms.size()) {
+                trace.push_back({id, t.time, int(script[t.pc].op)});
                 ++t.pc;
+                t.mpc = 0;
+                continue;
             }
-            if (t.pc == script.size()) {
-                t.st = ThreadState::Finished;
-                return;
-            }
-            const Step &s = script[t.pc];
-            t.inStep = true;
-            switch (s.op) {
-              case Step::Advance:
-                t.time += s.arg;
+            const Step *s = t.pc < script.size() ? &script[t.pc] : nullptr;
+            switch (ms[t.mpc++]) {
+              case Micro::Charge:
+                t.time += s->arg;
+                if (stopPending && id != requester) {
+                    t.st = ThreadState::Safepoint;
+                    return;
+                }
+                break;
+              case Micro::Sync:
                 if (stopPending && id != requester) {
                     t.st = ThreadState::Safepoint;
                     return;
@@ -289,26 +310,50 @@ struct SchedModel
                 if (pick() != id)
                     return;
                 break;
-              case Step::Block:
+              case Micro::Block:
                 t.st = ThreadState::Blocked;
                 return;
-              case Step::Unblock:
-                if (s.arg < ts.size() &&
-                    ts[s.arg].st == ThreadState::Blocked) {
-                    T &u = ts[s.arg];
+              case Micro::Unblock:
+                if (s->arg < ts.size() &&
+                    ts[s->arg].st == ThreadState::Blocked) {
+                    T &u = ts[s->arg];
                     u.st = ThreadState::Runnable;
                     u.time = std::max(u.time, t.time);
                 }
                 break;
-              case Step::Stop:
+              case Micro::Spawn:
+                ts.emplace_back();
+                ts.back().script = s->arg;
+                ts.back().time = t.time;
+                break;
+              case Micro::Stop:
                 if (stopPending) {
                     valid = false;
                     return;
                 }
                 stopPending = true;
                 requester = id;
+                stopStart = t.time;
                 break;
-              case Step::Resume:
+              case Micro::StopWait: {
+                Cycles max_other = 0;
+                bool all_parked = true;
+                for (ThreadId o = 0; o < ts.size(); ++o) {
+                    if (o != id && ts[o].st == ThreadState::Runnable) {
+                        all_parked = false;
+                        max_other = std::max(max_other, ts[o].time);
+                    }
+                }
+                if (!all_parked) {
+                    // Run the peers to their safepoints, then retry.
+                    t.time = std::max(t.time, max_other + 1);
+                    --t.mpc;
+                    return;
+                }
+                t.time = stopStart;
+                break;
+              }
+              case Micro::Resume:
                 if (!stopPending) {
                     valid = false;
                     return;
@@ -317,15 +362,13 @@ struct SchedModel
                 for (T &u : ts) {
                     if (u.st == ThreadState::Safepoint) {
                         u.st = ThreadState::Runnable;
-                        u.time = std::max(u.time, t.time);
+                        u.time += t.time - stopStart;
                     }
                 }
                 break;
-              case Step::Spawn:
-                ts.emplace_back();
-                ts.back().script = s.arg;
-                ts.back().time = t.time;
-                break;
+              case Micro::Exit:
+                t.st = ThreadState::Finished;
+                return;
             }
         }
     }
@@ -342,24 +385,37 @@ struct SchedModel
     }
 };
 
-/** Run the first @p initial pool scripts on a real Scheduler. */
+/**
+ * Run the first @p initial pool scripts on a real Scheduler. A Charge
+ * step is Scheduler::advance(), or only Scheduler::charge() when
+ * @p lazy.
+ */
 std::pair<Trace, std::uint64_t>
-runScripts(const std::vector<Script> &pool, std::size_t initial)
+runScripts(const std::vector<Script> &pool, std::size_t initial,
+           bool lazy = false)
 {
     Scheduler sched;
     Trace trace;
     std::function<void(const Script &)> body = [&](const Script &script) {
         ThreadId me = sched.currentThread();
-        trace.push_back({me, sched.now()});
+        trace.push_back({me, sched.now(), kStart});
         for (const Step &s : script) {
             switch (s.op) {
-              case Step::Advance:
-                sched.advance(s.arg);
+              case Step::Charge:
+                if (lazy)
+                    sched.charge(s.arg);
+                else
+                    sched.advance(s.arg);
+                break;
+              case Step::Sync:
+                sched.sync();
                 break;
               case Step::Block:
                 sched.block();
                 break;
               case Step::Unblock:
+                // The state check reads another thread: sync first.
+                sched.sync();
                 if (s.arg < sched.numThreads() &&
                     sched.stateOf(ThreadId(s.arg)) ==
                         ThreadState::Blocked)
@@ -372,12 +428,14 @@ runScripts(const std::vector<Script> &pool, std::size_t initial)
                 sched.resumeTheWorld();
                 break;
               case Step::Spawn: {
+                // spawn() syncs too, but the start time is read first.
+                sched.sync();
                 const Script &child = pool[s.arg];
                 sched.spawn([&body, &child] { body(child); }, sched.now());
                 break;
               }
             }
-            trace.push_back({me, sched.now()});
+            trace.push_back({me, sched.now(), int(s.op)});
         }
     };
     for (std::size_t i = 0; i < initial; ++i)
@@ -386,11 +444,23 @@ runScripts(const std::vector<Script> &pool, std::size_t initial)
     return {trace, sched.switches()};
 }
 
+/** @p trace without the entries of Charge steps. */
+Trace
+syncGuarded(const Trace &trace)
+{
+    Trace out;
+    for (const Event &e : trace) {
+        if (std::get<2>(e) != Step::Charge)
+            out.push_back(e);
+    }
+    return out;
+}
+
 /**
- * A seeded random scenario: 2-6 threads whose scripts mix advances
- * with many equal-time ties, blocks, wake-ups, spawns from inside a
- * thread, and at most one stop/resume pair each. Two extra pool
- * scripts (no spawn, no stop) serve as spawn targets.
+ * A seeded random scenario: 2-6 threads whose scripts mix charges and
+ * syncs with many equal-time ties, blocks, wake-ups, spawns from
+ * inside a thread, and at most one stop/resume pair each. Two extra
+ * pool scripts (no spawn, no stop) serve as spawn targets.
  */
 std::pair<std::vector<Script>, std::size_t>
 randomScenario(std::uint64_t seed)
@@ -399,9 +469,9 @@ randomScenario(std::uint64_t seed)
     Rng rng(seed);
     const std::size_t initial = 2 + rng.range(5);
     const std::size_t pool_size = initial + 2;
-    auto advance = [&rng] {
+    auto charge = [&rng] {
         static constexpr Cycles kSteps[] = {0, 1, 5, 5, 10, 10, 20};
-        return S{S::Advance, kSteps[rng.range(std::size(kSteps))]};
+        return S{S::Charge, kSteps[rng.range(std::size(kSteps))]};
     };
     std::vector<Script> pool(pool_size);
     for (std::size_t i = 0; i < pool_size; ++i) {
@@ -411,8 +481,10 @@ randomScenario(std::uint64_t seed)
         Script &script = pool[i];
         while (script.size() < len) {
             std::uint64_t roll = rng.range(100);
-            if (roll < 55) {
-                script.push_back(advance());
+            if (roll < 45) {
+                script.push_back(charge());
+            } else if (roll < 55) {
+                script.push_back({S::Sync});
             } else if (roll < 65) {
                 script.push_back({S::Block});
             } else if (roll < 85) {
@@ -424,13 +496,45 @@ randomScenario(std::uint64_t seed)
                 stopped = true;
                 script.push_back({S::Stop});
                 for (std::uint64_t k = rng.range(3); k > 0; --k)
-                    script.push_back(advance());
+                    script.push_back(charge());
                 script.push_back({S::Resume});
             }
         }
     }
     return {pool, initial};
 }
+
+/** What the valid scenarios of seeds 1..1000 exercised. */
+struct ScenarioCoverage
+{
+    unsigned ran = 0, withBlock = 0, withStop = 0, withSpawn = 0;
+
+    void
+    note(const SchedModel &m)
+    {
+        ++ran;
+        bool block = false, stop = false;
+        for (const SchedModel::T &t : m.ts) {
+            for (const Step &s : m.pool[t.script]) {
+                block |= s.op == Step::Block;
+                stop |= s.op == Step::Stop;
+            }
+        }
+        withBlock += block;
+        withStop += stop;
+        withSpawn += m.ts.size() > m.pool.size() - 2;
+    }
+
+    /** Every run-queue rebuild path was crossed by enough runs. */
+    void
+    expectBroad() const
+    {
+        EXPECT_GE(ran, 100u);
+        EXPECT_GE(withBlock, 20u);
+        EXPECT_GE(withStop, 20u);
+        EXPECT_GE(withSpawn, 20u);
+    }
+};
 
 TEST(Scheduler, InterleavingMatchesMinTimeIdReferenceModel)
 {
@@ -439,18 +543,18 @@ TEST(Scheduler, InterleavingMatchesMinTimeIdReferenceModel)
     // meet at t=10, 20, 30, ...), one block/unblock pair and one
     // stop-the-world that catches every peer mid-script.
     const std::vector<Script> scripts = {
-        {{S::Advance, 10}, {S::Advance, 10}, {S::Advance, 10},
-         {S::Advance, 10}, {S::Advance, 10}, {S::Advance, 10},
-         {S::Advance, 10}, {S::Advance, 10}},
-        {{S::Advance, 5}, {S::Block}, {S::Advance, 7}, {S::Advance, 7},
-         {S::Advance, 7}, {S::Advance, 7}},
-        {{S::Advance, 10}, {S::Advance, 15}, {S::Unblock, 1},
-         {S::Advance, 20}, {S::Stop}, {S::Advance, 100}, {S::Resume},
-         {S::Advance, 5}, {S::Advance, 5}},
-        {{S::Advance, 5}, {S::Advance, 5}, {S::Advance, 5},
-         {S::Advance, 5}, {S::Advance, 5}, {S::Advance, 5},
-         {S::Advance, 5}, {S::Advance, 5}, {S::Advance, 5},
-         {S::Advance, 5}, {S::Advance, 5}, {S::Advance, 5}},
+        {{S::Charge, 10}, {S::Charge, 10}, {S::Charge, 10},
+         {S::Charge, 10}, {S::Charge, 10}, {S::Charge, 10},
+         {S::Charge, 10}, {S::Charge, 10}},
+        {{S::Charge, 5}, {S::Block}, {S::Charge, 7}, {S::Charge, 7},
+         {S::Charge, 7}, {S::Charge, 7}},
+        {{S::Charge, 10}, {S::Charge, 15}, {S::Unblock, 1},
+         {S::Charge, 20}, {S::Stop}, {S::Charge, 100}, {S::Resume},
+         {S::Charge, 5}, {S::Charge, 5}},
+        {{S::Charge, 5}, {S::Charge, 5}, {S::Charge, 5},
+         {S::Charge, 5}, {S::Charge, 5}, {S::Charge, 5},
+         {S::Charge, 5}, {S::Charge, 5}, {S::Charge, 5},
+         {S::Charge, 5}, {S::Charge, 5}, {S::Charge, 5}},
     };
 
     auto [trace, switches] = runScripts(scripts, scripts.size());
@@ -469,7 +573,7 @@ TEST(Scheduler, InterleavingMatchesMinTimeIdReferenceModel)
     // Seeded random scenarios. Those the real Scheduler would refuse
     // are skipped; every run-queue rebuild path must still be crossed
     // by the ones that run. A run that finishes woke every block.
-    unsigned ran = 0, with_block = 0, with_stop = 0, with_spawn = 0;
+    ScenarioCoverage cov;
     for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
         auto [pool, initial] = randomScenario(seed);
         SchedModel m(pool, initial);
@@ -480,22 +584,36 @@ TEST(Scheduler, InterleavingMatchesMinTimeIdReferenceModel)
         auto [t, sw] = runScripts(pool, initial);
         EXPECT_EQ(t, m.trace);
         EXPECT_EQ(sw, m.switches);
-        ++ran;
-        bool block = false, stop = false;
-        for (std::size_t i = 0; i < m.ts.size(); ++i) {
-            for (const Step &s : pool[m.ts[i].script]) {
-                block |= s.op == Step::Block;
-                stop |= s.op == Step::Stop;
-            }
-        }
-        with_block += block;
-        with_stop += stop;
-        with_spawn += m.ts.size() > initial;
+        cov.note(m);
     }
-    EXPECT_GE(ran, 100u);
-    EXPECT_GE(with_block, 20u);
-    EXPECT_GE(with_stop, 20u);
-    EXPECT_GE(with_spawn, 20u);
+    cov.expectBroad();
+}
+
+TEST(Scheduler, LazyChargeKeepsVisibleOrder)
+{
+    // With charges that do not switch, every sync-guarded step (a
+    // sync, the scheduler's own operations, a thread's start) must
+    // still come in the order of the schedule that switches on every
+    // charge, at the same times, and the host must switch no more.
+    ScenarioCoverage cov;
+    std::uint64_t eager_switches = 0, lazy_switches = 0;
+    for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+        auto [pool, initial] = randomScenario(seed);
+        SchedModel eager(pool, initial);
+        eager.run();
+        if (!eager.valid)
+            continue;
+        SCOPED_TRACE("scenario seed " + std::to_string(seed));
+        auto [t, sw] = runScripts(pool, initial, true);
+        EXPECT_EQ(syncGuarded(t), syncGuarded(eager.trace));
+        EXPECT_LE(sw, eager.switches);
+        eager_switches += eager.switches;
+        lazy_switches += sw;
+        cov.note(eager);
+    }
+    cov.expectBroad();
+    // Charges between syncs are common, so some switches went away.
+    EXPECT_LT(lazy_switches, eager_switches);
 }
 
 TEST(Scheduler, BlockAndUnblock)
